@@ -39,9 +39,9 @@ SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
 
   SatAttackResult result;
 
-  // Preprocessing is explicit opt-in on small hosts (keeps --jobs 1 runs
-  // bit-identical to the historical path) and automatic at scale, where
-  // the miter is large enough for BVE/subsumption to pay off.
+  // Preprocessing is on by default (`preprocess`); `preprocess_auto`
+  // turns it back on at scale only when the caller cleared `preprocess`.
+  // --no-preprocess clears both.
   const bool preprocess =
       options.preprocess ||
       (options.preprocess_auto &&

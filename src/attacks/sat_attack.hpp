@@ -79,17 +79,20 @@ struct SatAttackOptions {
   /// formulas before their first solve. Input and key variables are frozen
   /// so DIP extraction, I/O constraints, and key canonicalization keep
   /// working; composes with certify (elimination steps are replayed into
-  /// the DRAT trace). On by default since the Table-5 bench medians
-  /// confirmed a net win at every scale (see BENCH_solver.json); set
-  /// false (CLI --no-preprocess) to recover the historical bit-identical
-  /// --jobs 1 search trajectory.
+  /// the DRAT trace). On by default: the Table-5 median speed-up of
+  /// preprocessing alone is 1.2x, but per scheme it is mixed -- sfll,
+  /// lut and interlock gain, while ril, xor and caslock run below 1x
+  /// (`prep_speedup` in BENCH_solver.json). Set false together with
+  /// `preprocess_auto` (CLI --no-preprocess clears both) to turn
+  /// preprocessing off.
   bool preprocess = true;
-  /// Auto-enable preprocessing at scale: when `preprocess` is false but
-  /// the locked netlist has at least `preprocess_auto_min_gates` gates,
-  /// the miter and key formulas are preprocessed anyway -- large-host
-  /// miters are where BVE/subsumption pay for themselves (see
-  /// docs/SCALING.md). Set false together with `preprocess` (CLI
-  /// --no-preprocess clears both) to force preprocessing off.
+  /// Auto-enable preprocessing at scale; matters only when `preprocess`
+  /// is false. Then a locked netlist with at least
+  /// `preprocess_auto_min_gates` gates still has its miter and key
+  /// formulas preprocessed -- large-host miters are where
+  /// BVE/subsumption pay for themselves (see docs/SCALING.md). Set false
+  /// together with `preprocess` (CLI --no-preprocess clears both) to
+  /// force preprocessing off.
   bool preprocess_auto = true;
   std::size_t preprocess_auto_min_gates = 100000;
   /// Restart-time inprocessing (sat/inprocess.hpp: clause vivification,

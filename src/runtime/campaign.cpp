@@ -50,13 +50,16 @@ std::string json_escape(const std::string& text) {
 
 namespace {
 
-/// Position just past `"field":` in `line`, or npos.
+/// Position of the value of `"field":` in `line` (past any spaces or tabs
+/// after the colon, as in `"field": value`), or npos.
 std::size_t find_field_value(const std::string& line,
                              const std::string& field) {
   const std::string needle = "\"" + field + "\":";
-  const auto pos = line.find(needle);
+  auto pos = line.find(needle);
   if (pos == std::string::npos) return std::string::npos;
-  return pos + needle.size();
+  pos += needle.size();
+  while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
+  return pos;
 }
 
 }  // namespace
@@ -98,7 +101,6 @@ double json_number_field(const std::string& line, const std::string& field,
   // ("C") number format.
   const char* begin = line.data() + pos;
   const char* end = line.data() + line.size();
-  while (begin < end && (*begin == ' ' || *begin == '\t')) ++begin;
   double value = fallback;
   const auto result = std::from_chars(begin, end, value);
   if (result.ec != std::errc() || result.ptr == begin) return fallback;

@@ -249,7 +249,8 @@ void SolverPortfolio::freeze(const std::vector<Var>& vars) {
   for (const Var v : vars) freeze(v);
 }
 
-void SolverPortfolio::check_not_eliminated(const Clause& lits) const {
+void SolverPortfolio::check_not_eliminated(
+    std::span<const Lit> lits) const {
   for (const Lit l : lits) {
     if (prep_->is_eliminated(l.var())) {
       throw std::logic_error(
@@ -288,46 +289,47 @@ bool SolverPortfolio::add_clause(Clause lits) {
     // Staged: the members see the clause (simplified) at the first solve.
     return prep_->add_clause(std::move(lits));
   }
-  if (prep_) {
-    check_not_eliminated(lits);
-    Clause inner;
-    remap_.clause_to_inner(lits, inner);
-    lits = std::move(inner);
-  }
-  bool ok = true;
-  for (auto& solver : solvers_) {
-    // Members may disagree on *detecting* root unsatisfiability (their
-    // private learned clauses propagate differently), but any detection is
-    // sound, so one dead member proves the shared formula UNSAT.
-    if (!solver->add_clause(lits)) ok = false;
-  }
-  if (!ok) proven_unsat_ = true;
-  return ok;
+  sat::ClauseBatch one;
+  one.lits = std::move(lits);
+  one.seal();
+  return add_clauses(one);
 }
 
 bool SolverPortfolio::add_clauses(const sat::ClauseBatch& batch) {
-  // Below this size the thread fan-out costs more than it saves; the
-  // preprocessing paths (staging and post-simplify remapping) stay serial
-  // because they funnel through shared Preprocessor/Remapper state.
-  constexpr std::size_t kParallelBatchMin = 512;
-  if (prep_ || solvers_.size() == 1 || batch.size() < kParallelBatchMin) {
-    return ClauseSink::add_clauses(batch);
-  }
-  std::vector<char> member_ok(solvers_.size(), 1);
-  const auto feed = [this, &batch, &member_ok](std::size_t m) {
-    sat::Solver& solver = *solvers_[m];
-    bool ok = true;
+  // Staged clauses go to the preprocessor one at a time; it keeps each.
+  if (prep_ && !prep_done_) return ClauseSink::add_clauses(batch);
+  const sat::ClauseBatch* fed = &batch;
+  if (prep_) {
+    remapped_.clear();
+    Clause inner;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto c = batch.clause(i);
-      if (!solver.add_clause(Clause(c.begin(), c.end()))) ok = false;
+      check_not_eliminated(batch.clause(i));
+      remap_.clause_to_inner(batch.clause(i), inner);
+      remapped_.lits.insert(remapped_.lits.end(), inner.begin(), inner.end());
+      remapped_.seal();
     }
-    if (!ok) member_ok[m] = 0;
+    fed = &remapped_;
+  }
+  // Below this size the thread fan-out costs more than it saves.
+  constexpr std::size_t kParallelBatchMin = 512;
+  std::vector<char> member_ok(solvers_.size(), 1);
+  const auto feed = [this, fed, &member_ok](std::size_t m) {
+    if (!solvers_[m]->add_clauses(*fed)) member_ok[m] = 0;
   };
-  std::vector<std::thread> workers;
-  workers.reserve(solvers_.size() - 1);
-  for (std::size_t m = 1; m < solvers_.size(); ++m) workers.emplace_back(feed, m);
-  feed(0);
-  for (auto& w : workers) w.join();
+  if (solvers_.size() == 1 || fed->size() < kParallelBatchMin) {
+    for (std::size_t m = 0; m < solvers_.size(); ++m) feed(m);
+  } else {
+    std::vector<std::thread> workers;
+    workers.reserve(solvers_.size() - 1);
+    for (std::size_t m = 1; m < solvers_.size(); ++m) {
+      workers.emplace_back(feed, m);
+    }
+    feed(0);
+    for (auto& w : workers) w.join();
+  }
+  // Members may disagree on *detecting* root unsatisfiability (their
+  // private learned clauses propagate differently), but any detection is
+  // sound, so one dead member proves the shared formula UNSAT.
   bool ok = true;
   for (const char okm : member_ok) ok = ok && (okm != 0);
   if (!ok) proven_unsat_ = true;
@@ -371,7 +373,17 @@ void SolverPortfolio::finish_preprocessing(
   }
   ipc_frozen_outer_.clear();
 
-  const std::vector<Clause> simplified = prep_->clauses();
+  // The simplified formula in member numbering, built once for every
+  // member's batch feed.
+  sat::ClauseBatch simplified;
+  {
+    Clause inner;
+    for (const Clause& c : prep_->clauses()) {
+      remap_.clause_to_inner(c, inner);
+      simplified.lits.insert(simplified.lits.end(), inner.begin(), inner.end());
+      simplified.seal();
+    }
+  }
   for (std::size_t i = 0; i < solvers_.size(); ++i) {
     sat::Solver& solver = *solvers_[i];
     if (proof) {
@@ -404,14 +416,7 @@ void SolverPortfolio::finish_preprocessing(
     if (!ok) {
       solver.add_clause(Clause{});
     } else {
-      Clause inner;
-      for (const Clause& c : simplified) {
-        remap_.clause_to_inner(c, inner);
-        if (!solver.add_clause(inner)) {
-          ok = false;
-          break;
-        }
-      }
+      ok = solver.add_clauses(simplified);
     }
     if (proof) {
       // A member that went dead during the silent feed derived UNSAT by

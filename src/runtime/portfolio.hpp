@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,11 +79,12 @@ class SolverPortfolio : public sat::ClauseSink {
   sat::Var new_var() override;
   void ensure_var(sat::Var v) override;
   bool add_clause(sat::Clause lits) override;
-  /// Chunk-parallel mirroring: a large batch is fed to the members from
-  /// one worker thread per member (each member is an independent solver,
-  /// including its private proof trace, so the fan-out needs no locking).
-  /// Small batches and preprocessing-staged formulas take the serial
-  /// per-clause path, which is bit-identical.
+  /// Feeds the whole batch to each member through Solver::add_clauses --
+  /// after preprocessing, remapped once into member numbering. A large
+  /// batch is fed from one worker thread per member (each member is an
+  /// independent solver, including its private proof trace, so the
+  /// fan-out needs no locking); small ones member after member. Before
+  /// preprocessing runs, clauses are staged one by one.
   bool add_clauses(const sat::ClauseBatch& batch) override;
   using sat::ClauseSink::add_clause;
 
@@ -200,7 +202,7 @@ class SolverPortfolio : public sat::ClauseSink {
   /// Runs the staged preprocessor and feeds the members (first solve()).
   void finish_preprocessing(const std::vector<sat::Lit>& assumptions);
   /// Throws if a literal of `lits` lost its variable to elimination.
-  void check_not_eliminated(const sat::Clause& lits) const;
+  void check_not_eliminated(std::span<const sat::Lit> lits) const;
   /// Member i's proof sink in either mode (nullptr when logging is off).
   sat::ProofTracer* member_tracer(std::size_t i);
   bool member_trace_closed(std::size_t i) const;
@@ -228,6 +230,8 @@ class SolverPortfolio : public sat::ClauseSink {
   /// after a kSat solve with preprocessing on.
   std::vector<sat::LBool> ext_model_;
   bool prep_done_ = false;
+  /// add_clauses() scratch: a post-preprocessing batch in member numbering.
+  sat::ClauseBatch remapped_;
 };
 
 }  // namespace ril::runtime

@@ -76,8 +76,8 @@ class ClauseSink {
   /// Adds every clause of `batch` in order. Returns false if any clause
   /// made the formula trivially unsatisfiable at the root. The default
   /// forwards clause by clause (bit-identical to looping add_clause);
-  /// sinks that fan out to several receivers (the portfolio) override it
-  /// to move whole chunks at once.
+  /// the solver overrides it to insert a whole chunk without a Clause per
+  /// clause, and the portfolio to hand each member the whole chunk.
   virtual bool add_clauses(const ClauseBatch& batch) {
     bool ok = true;
     for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -26,7 +26,8 @@ Remapper Remapper::compacting(const std::vector<bool>& keep) {
   return map;
 }
 
-bool Remapper::clause_to_inner(const Clause& outer, Clause& out) const {
+bool Remapper::clause_to_inner(std::span<const Lit> outer,
+                               Clause& out) const {
   out.clear();
   out.reserve(outer.size());
   for (const Lit l : outer) {

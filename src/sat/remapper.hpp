@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "sat/types.hpp"
@@ -70,7 +71,7 @@ class Remapper {
 
   /// Translates a whole clause into inner numbering. Returns false (and
   /// leaves `out` unspecified) if any variable was eliminated.
-  bool clause_to_inner(const Clause& outer, Clause& out) const;
+  bool clause_to_inner(std::span<const Lit> outer, Clause& out) const;
 
   /// Registers a fresh outer/inner pair created after preprocessing.
   void append(Var outer, Var inner);

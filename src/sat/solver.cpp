@@ -59,7 +59,8 @@ void Solver::ensure_var(Var v) {
   while (static_cast<Var>(assigns_.size()) <= v) new_var();
 }
 
-Solver::ClauseRef Solver::alloc_clause(const Clause& lits, bool learned) {
+Solver::ClauseRef Solver::alloc_clause(std::span<const Lit> lits,
+                                       bool learned) {
   const ClauseRef cref = static_cast<ClauseRef>(arena_.size());
   arena_.push_back((static_cast<std::uint32_t>(lits.size()) << 2) |
                    (learned ? 2u : 0u));
@@ -92,40 +93,92 @@ void Solver::detach(ClauseRef cref) {
 }
 
 bool Solver::add_clause(Clause lits) {
-  if (!ok_) return false;
+  const auto end = static_cast<std::uint32_t>(lits.size());
+  return insert_clauses(lits, {&end, 1});
+}
+
+bool Solver::add_clauses(const ClauseBatch& batch) {
+  return insert_clauses(batch.lits, batch.ends);
+}
+
+bool Solver::insert_clauses(std::span<const Lit> lits,
+                            std::span<const std::uint32_t> ends) {
   assert(decision_level() == 0);
-  // The as-given clause is an axiom of the trace; the checker replays the
-  // same root simplification through its own unit propagation.
-  if (proof_) proof_->original(lits);
-  // Root-level simplification: sort, dedup, drop false literals, detect
-  // tautologies and satisfied clauses.
-  std::sort(lits.begin(), lits.end(),
-            [](Lit a, Lit b) { return a.code < b.code; });
-  Clause simplified;
-  Lit prev = kLitUndef;
-  for (Lit l : lits) {
-    ensure_var(l.var());
-    if (value(l) == LBool::kTrue || l == ~prev) return true;  // satisfied/taut
-    if (value(l) == LBool::kFalse || l == prev) continue;     // drop
-    simplified.push_back(l);
-    prev = l;
-  }
-  ++n_problem_clauses_;
-  if (simplified.empty()) {
-    ok_ = false;
-    if (proof_) proof_->derive({});
-    return false;
-  }
-  if (simplified.size() == 1) {
-    enqueue(simplified[0], kNoClause);
-    ok_ = (propagate() == kNoClause);
+  Clause& c = insert_buffer_;
+  std::uint32_t begin = 0;
+  for (const std::uint32_t end : ends) {
+    if (!ok_) break;
+    c.assign(lits.begin() + begin, lits.begin() + end);
+    begin = end;
+    // The as-given clause is an axiom of the trace; the checker replays
+    // the same root simplification through its own unit propagation.
+    if (proof_) proof_->original(c);
+    // Root-level simplification, in place: sort, dedup, drop false
+    // literals, detect tautologies and satisfied clauses.
+    std::sort(c.begin(), c.end(),
+              [](Lit a, Lit b) { return a.code < b.code; });
+    std::size_t size = 0;
+    bool satisfied = false;
+    Lit prev = kLitUndef;
+    for (const Lit l : c) {
+      if (l.var() >= static_cast<Var>(assigns_.size())) ensure_var(l.var());
+      if (value(l) == LBool::kTrue || l == ~prev) {  // satisfied/taut
+        satisfied = true;
+        break;
+      }
+      if (value(l) == LBool::kFalse || l == prev) continue;  // drop
+      c[size++] = l;
+      prev = l;
+    }
+    if (satisfied) continue;
+    ++n_problem_clauses_;
+    if (size >= 2) {
+      const ClauseRef cref = alloc_clause({c.data(), size}, /*learned=*/false);
+      problem_clauses_.push_back(cref);
+      pending_attach_.push_back(cref);
+      continue;
+    }
+    // A unit propagates through exactly the clauses stored before it.
+    flush_attaches();
+    if (size == 1) {
+      enqueue(c[0], kNoClause);
+      ok_ = (propagate() == kNoClause);
+    } else {
+      ok_ = false;
+    }
     if (!ok_ && proof_) proof_->derive({});
-    return ok_;
   }
-  const ClauseRef cref = alloc_clause(simplified, /*learned=*/false);
-  problem_clauses_.push_back(cref);
-  attach(cref);
-  return true;
+  flush_attaches();
+  return ends.empty() || ok_;
+}
+
+void Solver::flush_attaches() {
+  if (pending_attach_.empty()) return;
+  // Reserve each touched list once, geometrically: an exact reserve would
+  // re-copy a list on every batch that touches it.
+  if (watch_growth_.size() < watches_.size()) {
+    watch_growth_.resize(watches_.size(), 0);
+  }
+  for (const ClauseRef cref : pending_attach_) {
+    const ClauseView c = view(cref);
+    ++watch_growth_[(~c.lit(0)).code];
+    ++watch_growth_[(~c.lit(1)).code];
+  }
+  for (const ClauseRef cref : pending_attach_) {
+    const ClauseView c = view(cref);
+    for (int i = 0; i < 2; ++i) {
+      const std::int32_t code = (~c.lit(i)).code;
+      if (watch_growth_[code] == 0) continue;
+      auto& list = watches_[code];
+      const std::size_t need = list.size() + watch_growth_[code];
+      if (need > list.capacity()) {
+        list.reserve(std::max(need, 2 * list.capacity()));
+      }
+      watch_growth_[code] = 0;
+    }
+  }
+  for (const ClauseRef cref : pending_attach_) attach(cref);
+  pending_attach_.clear();
 }
 
 bool Solver::verify_model(const std::vector<Lit>& assumptions) const {

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "sat/clause_sink.hpp"
@@ -83,9 +84,18 @@ class Solver : public ClauseSink {
   std::size_t num_vars() const { return assigns_.size(); }
   std::size_t num_clauses() const { return n_problem_clauses_; }
 
-  /// Adds a problem clause. Returns false if the formula became trivially
-  /// unsatisfiable at the root level (the solver is then dead).
+  /// Adds a problem clause: a one-clause add_clauses(). Returns false if
+  /// the formula became trivially unsatisfiable at the root level (the
+  /// solver is then dead).
   bool add_clause(Clause lits) override;
+  /// Adds every clause of `batch` in order; the one routine through which
+  /// problem clauses enter the solver. Each clause is root-simplified in a
+  /// reused scratch buffer and appended to the arena; the watches of the
+  /// batch's clauses are attached after the batch, except that pending
+  /// attaches are flushed before a root unit propagates or the empty
+  /// clause is reached. Arena, clause lists, watch order, and proof stream
+  /// are therefore identical to adding the clauses one at a time.
+  bool add_clauses(const ClauseBatch& batch) override;
   using ClauseSink::add_clause;
 
   /// Solves under the given assumptions. Repeatable; clauses may be added
@@ -176,12 +186,18 @@ class Solver : public ClauseSink {
     Lit blocker;
   };
 
-  ClauseRef alloc_clause(const Clause& lits, bool learned);
+  ClauseRef alloc_clause(std::span<const Lit> lits, bool learned);
   ClauseView view(ClauseRef cref) {
     return ClauseView{arena_.data() + cref};
   }
   void attach(ClauseRef cref);
   void detach(ClauseRef cref);
+  /// Root-simplifies and stores the clauses lits[ends[i-1] .. ends[i]).
+  bool insert_clauses(std::span<const Lit> lits,
+                      std::span<const std::uint32_t> ends);
+  /// Attaches the clauses insert_clauses() has stored but not yet watched,
+  /// in insertion order, reserving each touched watch list once.
+  void flush_attaches();
 
   // --- assignment / trail ------------------------------------------------
   LBool value(Lit l) const {
@@ -245,6 +261,10 @@ class Solver : public ClauseSink {
   std::vector<ClauseRef> problem_clauses_;
   std::vector<ClauseRef> learned_clauses_;
   std::size_t n_problem_clauses_ = 0;
+  // insert_clauses() scratch, reused across calls.
+  Clause insert_buffer_;
+  std::vector<ClauseRef> pending_attach_;
+  std::vector<std::uint32_t> watch_growth_;  // indexed by lit code
 
   std::vector<std::vector<Watcher>> watches_;  // indexed by lit code
   std::vector<LBool> assigns_;                 // indexed by var

@@ -407,5 +407,17 @@ TEST(Campaign, JsonHelpersHandleEscapesAndNesting) {
   EXPECT_EQ(json_string_field(line, "absent"), "");
 }
 
+TEST(Campaign, JsonFieldsAllowSpacesAfterTheColon) {
+  // Python's json.dumps writes `"key": value` by default.
+  const std::string line =
+      "{\"type\": \"verify\", \"name\":\t\"tab\", \"n\":  3, "
+      "\"data\": {\"inner\": \"x\"}}";
+  EXPECT_EQ(json_string_field(line, "type"), "verify");
+  EXPECT_EQ(json_string_field(line, "name"), "tab");
+  EXPECT_EQ(json_number_field(line, "n"), 3);
+  EXPECT_EQ(json_object_field(line, "data"), "\"inner\": \"x\"");
+  EXPECT_EQ(json_string_field(line, "n"), "");  // not a string
+}
+
 }  // namespace
 }  // namespace ril::runtime

@@ -50,9 +50,9 @@ TEST(Remapper, CompactingSkipsEliminated) {
   EXPECT_EQ(map.lit_to_inner(neg(4)), neg(2));
   EXPECT_EQ(map.lit_to_outer(pos(1)), pos(2));
   Clause inner;
-  EXPECT_TRUE(map.clause_to_inner({pos(0), neg(4)}, inner));
+  EXPECT_TRUE(map.clause_to_inner(Clause{pos(0), neg(4)}, inner));
   EXPECT_EQ(inner, Clause({pos(0), neg(2)}));
-  EXPECT_FALSE(map.clause_to_inner({pos(1)}, inner));
+  EXPECT_FALSE(map.clause_to_inner(Clause{pos(1)}, inner));
 }
 
 TEST(Remapper, AppendExtends) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <random>
 
 #include "attacks/metrics.hpp"
@@ -31,12 +33,17 @@ struct ConfigCase {
   std::size_t size;
   bool output_network;
   bool scan;
+  // gtest names each case after the raw bytes of its parameter. Spelling
+  // the tail padding out as zeroed bytes keeps those names from picking up
+  // whatever the stack held, so they stay the same from build to build.
+  std::array<std::uint8_t, 6> zero_tail{};
 };
+static_assert(sizeof(ConfigCase) == 16, "ConfigCase must have no implicit padding");
 
 class RilConfig : public ::testing::TestWithParam<ConfigCase> {};
 
 TEST_P(RilConfig, FunctionalKeyRestoresCircuit) {
-  const auto [size, output_network, scan] = GetParam();
+  const auto [size, output_network, scan, zero_tail] = GetParam();
   const Netlist host = host_circuit();
   Netlist locked = host;
   RilBlockConfig config;

@@ -245,6 +245,134 @@ TEST(SatSolver, ArenaFootprintExposed) {
   EXPECT_EQ(s.arena_words(), 4u);  // header + lbd + 2 lits
 }
 
+// Feeds `clauses` to one traced solver clause by clause (add_clause) and to
+// another in add_clauses batches of `batch_size`, then checks that the two
+// are indistinguishable: same database, same proof stream, and -- because
+// watch-list order steers the search -- the same solve trajectory.
+void expect_batches_match_single_adds(const std::vector<Clause>& clauses,
+                                      std::size_t batch_size) {
+  SCOPED_TRACE("batch size " + std::to_string(batch_size));
+  Solver single;
+  Solver batched;
+  DratTrace single_trace;
+  DratTrace batched_trace;
+  single.set_proof(&single_trace);
+  batched.set_proof(&batched_trace);
+  bool single_ok = true;
+  for (const Clause& c : clauses) single_ok = single.add_clause(c) && single_ok;
+  bool batched_ok = true;
+  ClauseBatch batch;
+  for (std::size_t i = 0; i < clauses.size(); ++i) {
+    for (const Lit l : clauses[i]) batch.push(l);
+    batch.seal();
+    if (batch.size() == batch_size || i + 1 == clauses.size()) {
+      batched_ok = batched.add_clauses(batch) && batched_ok;
+      batch.clear();
+    }
+  }
+  const auto expect_same_trace = [&] {
+    ASSERT_EQ(batched_trace.size(), single_trace.size());
+    for (std::size_t i = 0; i < single_trace.size(); ++i) {
+      EXPECT_EQ(batched_trace.steps()[i].kind, single_trace.steps()[i].kind);
+      EXPECT_EQ(batched_trace.steps()[i].lits, single_trace.steps()[i].lits);
+    }
+  };
+  EXPECT_EQ(batched_ok, single_ok);
+  EXPECT_EQ(batched.okay(), single.okay());
+  EXPECT_EQ(batched.num_vars(), single.num_vars());
+  EXPECT_EQ(batched.num_clauses(), single.num_clauses());
+  EXPECT_EQ(batched.arena_words(), single.arena_words());
+  expect_same_trace();
+
+  const Result result = single.solve();
+  EXPECT_EQ(batched.solve(), result);
+  if (result == Result::kSat) {
+    for (Var v = 0; v < static_cast<Var>(single.num_vars()); ++v) {
+      EXPECT_EQ(batched.model_value(v), single.model_value(v)) << "var " << v;
+    }
+  }
+  const SolverStats& a = single.stats();
+  const SolverStats& b = batched.stats();
+  EXPECT_EQ(b.decisions, a.decisions);
+  EXPECT_EQ(b.propagations, a.propagations);
+  EXPECT_EQ(b.conflicts, a.conflicts);
+  EXPECT_EQ(b.restarts, a.restarts);
+  EXPECT_EQ(b.learned_clauses, a.learned_clauses);
+  EXPECT_EQ(b.learned_literals, a.learned_literals);
+  EXPECT_EQ(b.removed_clauses, a.removed_clauses);
+  EXPECT_EQ(b.minimized_literals, a.minimized_literals);
+  EXPECT_EQ(batched.arena_words(), single.arena_words());
+  expect_same_trace();
+}
+
+/// Random 3-CNF near the satisfiability threshold over vars [0, num_vars),
+/// so solving it takes real search.
+std::vector<Clause> random_3cnf(std::uint64_t seed, int num_vars,
+                                int num_clauses) {
+  std::mt19937_64 rng(seed);
+  std::vector<Clause> clauses;
+  for (int c = 0; c < num_clauses; ++c) {
+    Clause clause;
+    for (int l = 0; l < 3; ++l) {
+      clause.push_back(Lit::make(static_cast<Var>(rng() % num_vars), rng() & 1));
+    }
+    clauses.push_back(clause);
+  }
+  return clauses;
+}
+
+TEST(SatSolver, BatchInsertionMatchesSingleClauseAdds) {
+  // Vars 60.. are untouched by the random part; the edge cases live there.
+  const Var a = 60, b = 61, c = 62, d = 63, e = 64, f = 65, g = 66, h = 67;
+  std::vector<Clause> clauses = random_3cnf(17, 60, 250);
+  const std::vector<Clause> edges = {
+      {pos(a), pos(b)},
+      {neg(b), pos(c)},
+      {pos(d), neg(d), pos(e)},          // tautology
+      {pos(e), pos(f), pos(e), pos(f)},  // duplicate literals
+      {neg(a)},                // mid-batch unit: propagates b, then c
+      {neg(c), pos(g), pos(h)},  // root-false literal: stored as (g h)
+      {pos(b), pos(e)},          // root-satisfied: dropped
+      {pos(h), pos(g), neg(c)},
+  };
+  // Edge cases both ahead of and behind the random clauses, so a unit also
+  // propagates through a whole batch's worth of earlier clauses.
+  clauses.insert(clauses.begin() + 100, edges.begin(), edges.end());
+  clauses.insert(clauses.end(), edges.begin(), edges.end());
+  for (const std::size_t batch : {1, 3, 7, 64, 1000}) {
+    expect_batches_match_single_adds(clauses, batch);
+  }
+}
+
+TEST(SatSolver, BatchInsertionStopsAtTheEmptyClause) {
+  std::vector<Clause> clauses = random_3cnf(23, 30, 60);
+  clauses.insert(clauses.begin() + 40, Clause{});
+  for (const std::size_t batch : {1, 8, 1000}) {
+    expect_batches_match_single_adds(clauses, batch);
+  }
+  // A root conflict from two units mid-batch is the other way to die.
+  std::vector<Clause> conflicting = random_3cnf(29, 30, 60);
+  conflicting.insert(conflicting.begin() + 20, {pos(3)});
+  conflicting.insert(conflicting.begin() + 30, {neg(3)});
+  for (const std::size_t batch : {1, 8, 1000}) {
+    expect_batches_match_single_adds(conflicting, batch);
+  }
+}
+
+TEST(SatSolver, MidBatchUnitPropagatesThroughItsOwnBatch) {
+  Solver s;
+  ClauseBatch batch;
+  batch.add({pos(0), pos(1)});
+  batch.add({neg(1), pos(2)});
+  batch.add({neg(0)});                   // forces 1, then 2
+  batch.add({neg(2), pos(3), pos(4)});   // stored as (3 4)
+  batch.add({pos(1), pos(3)});           // satisfied: dropped
+  EXPECT_TRUE(s.add_clauses(batch));
+  EXPECT_EQ(s.num_clauses(), 4u);
+  EXPECT_EQ(s.arena_words(), 4u + 4u + 4u);
+  EXPECT_FALSE(s.add_clause({neg(2)}));
+}
+
 // Minimized certified-verdict regressions distilled from the randomized
 // fuzz-and-check sweeps in test_fuzz.cpp (SolverFuzz.*). The fuzzer audits
 // every verdict against brute force plus the DRAT checker; these pin the

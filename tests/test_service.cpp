@@ -420,5 +420,27 @@ TEST(Service, MalformedRequestsAreRejectedNotFatal) {
   EXPECT_FALSE(json_string_field(response, "error").empty()) << response;
 }
 
+TEST(Service, AcceptsSpacesAfterColons) {
+  // Python's json.dumps separates keys from values with ": " by default.
+  const netlist::Netlist host = small_host(81);
+  const auto locked = locking::lock_xor(host, 6, 19);
+  std::string key;
+  for (bool b : locked.key) key += b ? '1' : '0';
+
+  ServiceOptions options;
+  options.workers = 1;
+  AttackService service(options);
+  const HttpResponse response = service.handle(post_job(
+      "{\"type\": \"verify\", \"locked\": \"" +
+      json_escape(netlist::write_bench_string(locked.netlist)) +
+      "\", \"activated\": \"" +
+      json_escape(netlist::write_bench_string(host)) + "\", \"key\": \"" +
+      key + "\"}"));
+  EXPECT_EQ(response.status, 200) << response.body;
+  EXPECT_EQ(json_string_field(response.body, "status"), "ok") << response.body;
+  const std::string data = "{" + json_object_field(response.body, "data") + "}";
+  EXPECT_EQ(json_string_field(data, "status"), "equivalent") << response.body;
+}
+
 }  // namespace
 }  // namespace ril::service

@@ -320,6 +320,7 @@ TEST(Portfolio, BatchAddMirrorsEveryMemberIdentically) {
   for (unsigned m = 0; m < portfolio.jobs(); ++m) {
     EXPECT_EQ(portfolio.member(m).num_vars(), reference.num_vars());
     EXPECT_EQ(portfolio.member(m).num_clauses(), reference.num_clauses());
+    EXPECT_EQ(portfolio.member(m).arena_words(), reference.arena_words());
   }
   EXPECT_EQ(portfolio.solve().result, ril::sat::Result::kSat);
 }

@@ -152,8 +152,8 @@ struct Args {
   bool output_net = false;
   bool scan = false;
   bool specialize = true;
-  /// Preprocessing is on by default at every scale (the Table-5 medians
-  /// confirmed a net win); --no-preprocess forces it off.
+  /// Preprocessing is on by default at every scale (per-scheme results in
+  /// BENCH_solver.json); --no-preprocess forces it off.
   bool preprocess = true;
   /// --no-preprocess clears this too, forcing preprocessing off even on
   /// hosts above the auto-enable gate threshold.
