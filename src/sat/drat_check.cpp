@@ -1,7 +1,6 @@
 #include "sat/drat_check.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 namespace ril::sat {
@@ -11,8 +10,11 @@ namespace {
 bool lit_less(Lit a, Lit b) { return a.code < b.code; }
 
 /// Self-contained clause database + unit propagation engine. Deliberately
-/// independent of Solver: plain vectors, eager watch removal, no activity
-/// or restart machinery -- just enough to decide RUP queries.
+/// independent of Solver: flat arrays, eager watch removal, no activity
+/// or restart machinery -- just enough to decide RUP queries. The layout
+/// (arena, open-addressing deletion index, binary watches carrying the
+/// other literal) and its bit-identity invariant are described in
+/// drat_check.hpp.
 class Checker {
  public:
   /// Ingests one step; returns false (with error() set) when the step
@@ -76,13 +78,26 @@ class Checker {
   }
 
  private:
-  struct DbClause {
-    std::vector<Lit> lits;  ///< watch moves permute; compare via sorted copy
-    bool live = false;
-    bool watched = false;
+  /// A clause is live while the index holds it.
+  struct ClauseMeta {
+    std::size_t offset;  ///< first literal in arena_; watch moves permute
+    std::uint32_t size;
+    bool watched;
+  };
+
+  struct Watch {
+    int cid;
+    Lit other;  ///< binary clause: its other literal; else kLitUndef
+  };
+
+  struct Slot {
+    std::uint32_t hash;  ///< hash_of the literal set; its low bits pick
+                         ///< the home slot
+    int cid;             ///< kEmptySlot when free
   };
 
   static constexpr int kNoReason = -1;
+  static constexpr int kEmptySlot = -1;
 
   // --- assignment --------------------------------------------------------
   void ensure_var(Var v) {
@@ -90,6 +105,7 @@ class Checker {
     assigns_.resize(v + 1, 0);
     reason_.resize(v + 1, kNoReason);
     watches_.resize(2 * static_cast<std::size_t>(v + 1));
+    marks_.resize(2 * static_cast<std::size_t>(v + 1), 0);
   }
 
   int value(Lit l) const {
@@ -103,6 +119,8 @@ class Checker {
     trail_.push_back(l);
   }
 
+  Lit* lits_of(int cid) { return arena_.data() + clauses_[cid].offset; }
+
   /// Propagates to fixpoint from the current head; true on conflict.
   /// Clauses watching literal w live in watches_[(~w).code], so assigning
   /// p true visits watches_[p.code] -- the clauses whose watch ~p just
@@ -114,31 +132,35 @@ class Checker {
       auto& list = watches_[p.code];
       std::size_t keep = 0;
       for (std::size_t i = 0; i < list.size(); ++i) {
-        const int cid = list[i];
-        DbClause& c = clauses_[cid];
-        if (c.lits[0] == ~p) std::swap(c.lits[0], c.lits[1]);
-        if (value(c.lits[0]) > 0) {
-          list[keep++] = cid;
-          continue;
-        }
-        bool moved = false;
-        for (std::size_t k = 2; k < c.lits.size(); ++k) {
-          if (value(c.lits[k]) >= 0) {
-            std::swap(c.lits[1], c.lits[k]);
-            watches_[(~c.lits[1]).code].push_back(cid);
-            moved = true;
-            break;
+        const Watch w = list[i];
+        // A binary watch names the literal it implies; a long clause first
+        // tries to move its watch off ~p.
+        Lit implied = w.other;
+        if (implied == kLitUndef) {
+          Lit* c = lits_of(w.cid);
+          if (c[0] == ~p) std::swap(c[0], c[1]);
+          if (value(c[0]) <= 0) {
+            const std::uint32_t size = clauses_[w.cid].size;
+            std::uint32_t k = 2;
+            while (k < size && value(c[k]) < 0) ++k;
+            if (k < size) {
+              std::swap(c[1], c[k]);
+              watches_[(~c[1]).code].push_back(w);
+              continue;
+            }
           }
+          implied = c[0];
         }
-        if (moved) continue;
-        list[keep++] = cid;
-        if (value(c.lits[0]) < 0) {
+        list[keep++] = w;
+        const int v = value(implied);
+        if (v > 0) continue;
+        if (v < 0) {
           for (++i; i < list.size(); ++i) list[keep++] = list[i];
           list.resize(keep);
           head_ = trail_.size();
           return true;
         }
-        assign(c.lits[0], cid);
+        assign(implied, w.cid);
       }
       list.resize(keep);
     }
@@ -146,70 +168,143 @@ class Checker {
   }
 
   // --- clause database ---------------------------------------------------
-  static std::uint64_t key_of(const std::vector<Lit>& sorted) {
-    std::uint64_t h = 1469598103934665603ull;  // FNV-1a over lit codes
+  /// FNV-1a over the sorted literal codes, finished with a 64-bit mixer so
+  /// the low bits that pick a slot depend on every literal.
+  static std::uint32_t hash_of(const std::vector<Lit>& sorted) {
+    std::uint64_t h = 1469598103934665603ull;
     for (Lit l : sorted) {
       h ^= static_cast<std::uint32_t>(l.code);
       h *= 1099511628211ull;
     }
-    return h;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    return static_cast<std::uint32_t>(h ^ (h >> 33));
   }
 
-  /// Sorts + dedups; returns false for tautologies.
-  static bool canonicalize(const Clause& in, std::vector<Lit>* out) {
-    *out = in;
-    std::sort(out->begin(), out->end(), lit_less);
-    out->erase(std::unique(out->begin(), out->end()), out->end());
-    for (std::size_t i = 1; i < out->size(); ++i) {
-      if ((*out)[i] == ~(*out)[i - 1]) return false;
+  /// Sorts + dedups `in` into scratch_; returns false for tautologies.
+  bool canonicalize(const Clause& in) {
+    scratch_.assign(in.begin(), in.end());
+    std::sort(scratch_.begin(), scratch_.end(), lit_less);
+    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
+                   scratch_.end());
+    for (std::size_t i = 1; i < scratch_.size(); ++i) {
+      if (scratch_[i] == ~scratch_[i - 1]) return false;
     }
     return true;
   }
 
-  /// True iff `c` (in arbitrary order, deduplicated) matches the sorted
-  /// deduplicated literal set `canonical`.
-  static bool same_clause(const std::vector<Lit>& c,
-                          const std::vector<Lit>& canonical) {
-    if (c.size() != canonical.size()) return false;
-    std::vector<Lit> sorted = c;
-    std::sort(sorted.begin(), sorted.end(), lit_less);
-    return std::equal(sorted.begin(), sorted.end(), canonical.begin());
+  void index_insert(std::uint32_t hash, int cid) {
+    if (2 * (slots_used_ + 1) > slots_.size()) {
+      std::vector<Slot> old(std::max<std::size_t>(1024, 2 * slots_.size()),
+                            Slot{0, kEmptySlot});
+      old.swap(slots_);
+      for (const Slot& s : old) {
+        if (s.cid != kEmptySlot) place(s);
+      }
+    }
+    place({hash, cid});
+    ++slots_used_;
+  }
+
+  void place(const Slot& slot) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t at = slot.hash & mask;
+    while (slots_[at].cid != kEmptySlot) at = (at + 1) & mask;
+    slots_[at] = slot;
+  }
+
+  /// Frees slot `at`, shifting later members of its probe run back so
+  /// every entry stays reachable from its home slot (no tombstones).
+  void index_erase(std::size_t at) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t hole = at;
+    for (std::size_t j = (hole + 1) & mask; slots_[j].cid != kEmptySlot;
+         j = (j + 1) & mask) {
+      const std::size_t home = slots_[j].hash & mask;
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole].cid = kEmptySlot;
+    --slots_used_;
+  }
+
+  /// Slot of the lowest-id live clause whose literal set is scratch_
+  /// (sorted, deduplicated), or slots_.size() when there is none.
+  std::size_t find_live(std::uint32_t hash) {
+    if (slots_.empty()) return slots_.size();
+    for (Lit l : scratch_) {
+      // A variable no clause mentions: nothing can match.
+      if (static_cast<std::size_t>(l.var()) >= assigns_.size()) {
+        return slots_.size();
+      }
+    }
+    if (++stamp_ == 0) {
+      std::fill(marks_.begin(), marks_.end(), 0);
+      stamp_ = 1;
+    }
+    for (Lit l : scratch_) marks_[l.code] = stamp_;
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t best = slots_.size();
+    for (std::size_t at = hash & mask; slots_[at].cid != kEmptySlot;
+         at = (at + 1) & mask) {
+      const Slot& s = slots_[at];
+      if (s.hash != hash) continue;
+      if (best != slots_.size() && slots_[best].cid < s.cid) continue;
+      if (same_clause(s.cid)) best = at;
+    }
+    return best;
+  }
+
+  /// True iff clause `cid` (any order, deduplicated) holds exactly the
+  /// literals marked with the current stamp, i.e. those of scratch_.
+  bool same_clause(int cid) {
+    if (clauses_[cid].size != scratch_.size()) return false;
+    const Lit* c = lits_of(cid);
+    for (std::uint32_t k = 0; k < clauses_[cid].size; ++k) {
+      if (marks_[c[k].code] != stamp_) return false;
+    }
+    return true;
   }
 
   void insert_clause(const Clause& lits) {
-    std::vector<Lit> canonical;
-    const bool proper = canonicalize(lits, &canonical);
-    for (Lit l : canonical) ensure_var(l.var());
+    const bool proper = canonicalize(lits);
+    if (!scratch_.empty()) ensure_var(scratch_.back().var());  // sorted
     const int cid = static_cast<int>(clauses_.size());
-    by_key_[key_of(canonical)].push_back(cid);
-    clauses_.push_back({std::move(canonical), /*live=*/true,
-                        /*watched=*/false});
+    const auto size = static_cast<std::uint32_t>(scratch_.size());
+    clauses_.push_back({arena_.size(), size, /*watched=*/false});
+    arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
+    index_insert(hash_of(scratch_), cid);
     // Tautologies are inert (but stay findable for deletion lines), and
     // once the database is refuted nothing further can matter.
     if (!proper || refuted_by_db_) return;
-    DbClause& c = clauses_[cid];
+    Lit* c = lits_of(cid);
     // Persistent assignments only ever grow, so a clause satisfied now is
     // satisfied forever and never needs watches.
-    for (Lit l : c.lits) {
-      if (value(l) > 0) return;
+    for (std::uint32_t i = 0; i < size; ++i) {
+      if (value(c[i]) > 0) return;
     }
     // Pull the (up to 2) unassigned literals into the watch slots.
-    std::size_t free_count = 0;
-    for (std::size_t i = 0; i < c.lits.size() && free_count < 2; ++i) {
-      if (value(c.lits[i]) == 0) std::swap(c.lits[free_count++], c.lits[i]);
+    std::uint32_t free_count = 0;
+    for (std::uint32_t i = 0; i < size && free_count < 2; ++i) {
+      if (value(c[i]) == 0) std::swap(c[free_count++], c[i]);
     }
     if (free_count == 0) {
       refuted_by_db_ = true;  // every literal false under the fixpoint
       return;
     }
     if (free_count == 1) {
-      assign(c.lits[0], cid);
+      assign(c[0], cid);
       if (propagate()) refuted_by_db_ = true;
       return;
     }
-    c.watched = true;
-    watches_[(~c.lits[0]).code].push_back(cid);
-    watches_[(~c.lits[1]).code].push_back(cid);
+    clauses_[cid].watched = true;
+    const bool binary = size == 2;
+    watches_[(~c[0]).code].push_back({cid, binary ? c[1] : kLitUndef});
+    watches_[(~c[1]).code].push_back({cid, binary ? c[0] : kLitUndef});
   }
 
   /// RUP query: does asserting the negation of `lits` on top of the
@@ -239,37 +334,28 @@ class Checker {
   }
 
   bool erase_clause(const Clause& lits, std::string* error) {
-    std::vector<Lit> canonical;
-    canonicalize(lits, &canonical);
-    const auto it = by_key_.find(key_of(canonical));
-    int cid = -1;
-    if (it != by_key_.end()) {
-      for (const int candidate : it->second) {
-        if (clauses_[candidate].live &&
-            same_clause(clauses_[candidate].lits, canonical)) {
-          cid = candidate;
-          break;
-        }
-      }
-    }
-    if (cid < 0) {
+    canonicalize(lits);
+    const std::size_t at = find_live(hash_of(scratch_));
+    if (at == slots_.size()) {
       *error = "deletion of a clause not in the database";
       return false;
     }
-    DbClause& c = clauses_[cid];
+    const int cid = slots_[at].cid;
+    ClauseMeta& c = clauses_[cid];
+    const Lit* cl = lits_of(cid);
     // Keep clauses that anchor a persistent unit: removing them would let
     // later RUP checks lean on assignments with no surviving antecedent.
-    for (Lit l : c.lits) {
-      if (value(l) > 0 && reason_[l.var()] == cid) {
+    for (std::uint32_t k = 0; k < c.size; ++k) {
+      if (value(cl[k]) > 0 && reason_[cl[k].var()] == cid) {
         ++stats_.ignored_deletions;
         return true;
       }
     }
     ++stats_.deletions;
-    c.live = false;
+    index_erase(at);
     if (c.watched) {
-      detach_watch(cid, c.lits[0]);
-      detach_watch(cid, c.lits[1]);
+      detach_watch(cid, cl[0]);
+      detach_watch(cid, cl[1]);
       c.watched = false;
     }
     return true;
@@ -278,7 +364,7 @@ class Checker {
   void detach_watch(int cid, Lit watched) {
     auto& list = watches_[(~watched).code];
     for (std::size_t i = 0; i < list.size(); ++i) {
-      if (list[i] == cid) {
+      if (list[i].cid == cid) {
         list[i] = list.back();
         list.pop_back();
         return;
@@ -286,11 +372,16 @@ class Checker {
     }
   }
 
-  std::vector<DbClause> clauses_;
-  std::unordered_map<std::uint64_t, std::vector<int>> by_key_;
-  std::vector<std::vector<int>> watches_;  // indexed by lit code
-  std::vector<int> assigns_;               // indexed by var: -1 / 0 / +1
-  std::vector<int> reason_;                // clause id or kNoReason
+  std::vector<ClauseMeta> clauses_;          // indexed by clause id
+  std::vector<Lit> arena_;                   // all clauses' literals
+  std::vector<Slot> slots_;                  // live-clause index, 2^k slots
+  std::size_t slots_used_ = 0;               // occupied slots
+  std::vector<Lit> scratch_;                 // canonicalized step literals
+  std::vector<std::uint32_t> marks_;         // indexed by lit code
+  std::uint32_t stamp_ = 0;                  // current same_clause mark
+  std::vector<std::vector<Watch>> watches_;  // indexed by lit code
+  std::vector<std::int8_t> assigns_;         // indexed by var: -1 / 0 / +1
+  std::vector<int> reason_;                  // clause id or kNoReason
   std::vector<Lit> trail_;
   std::size_t head_ = 0;
   bool refuted_by_db_ = false;

@@ -13,6 +13,25 @@
 // (top-level) unit are ignored, the standard guard that keeps forward
 // checking sound in the presence of DRAT deletion lines.
 //
+// Layout of the checking core; once its buffers have grown, no step
+// allocates:
+//  * clause storage -- every clause's literals sit back to back in one
+//    arena, described by per-clause {offset, size, watched}; a deleted
+//    clause keeps its span, so clause ids never move;
+//  * clause index -- an open-addressing table of (hash, clause id) slots
+//    holding exactly the live clauses. A 'd' step matches by literal set,
+//    whatever its order, and takes the lowest-id live match: of several
+//    identical clauses (the database is a multiset), the first inserted
+//    goes first;
+//  * watches -- a watch on a binary clause carries the clause's other
+//    literal, so visiting it never touches the arena. Long-clause watches
+//    carry no blocker literal, since one would change which watch moves.
+// Invariant: watch-list order, propagation order, reasons and deletion
+// rules are those of the earlier per-clause-vector checker, so every
+// DratCheckResult field -- verdict, error string and all DratCheckStats,
+// propagations and ignored_deletions included -- is bit-identical to it
+// on every trace (pinned by the DratCheckPins tests).
+//
 // Three entry points share one checking core:
 //  * check_refutation(trace)      -- in-memory trace, requires closure;
 //  * check_refutation_file(path)  -- streaming single pass over an

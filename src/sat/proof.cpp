@@ -379,10 +379,12 @@ bool TraceReader::next_binary(ProofStep& step) {
     for (;;) {
       int b = 0;
       if (!read_byte(b)) fail_at("truncated varint");
+      // The 10th byte may carry bit 63 only: higher bits, or a further
+      // byte, would not fit in 64 bits.
+      if (shift == 63 && b > 1) fail_at("varint overflow");
       value |= static_cast<std::uint64_t>(b & 0x7f) << shift;
       if ((b & 0x80) == 0) return;
       shift += 7;
-      if (shift > 63) fail_at("varint overflow");
     }
   };
 

@@ -132,6 +132,64 @@ TEST(DratCheck, HandlesTautologyAndDuplicateLiterals) {
   EXPECT_TRUE(check_refutation(trace).valid);
 }
 
+// (1 2) is the only support of "a 3 0" here: assuming -3 propagates -1 and
+// -2 through the two binaries, and a live copy of (1 2) then conflicts.
+// None of the axioms is a unit, so nothing is ever anchored.
+constexpr const char* kNeedsOneTwo = "o -1 3 0\no -2 3 0\n";
+
+TEST(DratCheck, IdenticalClausesFormAMultiset) {
+  const DratCheckResult one_left = check_derivations(read_trace_string(
+      std::string("o 1 2 0\no 1 2 0\n") + kNeedsOneTwo + "d 1 2 0\na 3 0\n"));
+  EXPECT_TRUE(one_left.valid) << one_left.error;
+  EXPECT_EQ(one_left.stats.deletions, 1u);
+
+  const DratCheckResult none_left = check_derivations(
+      read_trace_string(std::string("o 1 2 0\no 1 2 0\n") + kNeedsOneTwo +
+                        "d 1 2 0\nd 2 1 0\na 3 0\n"));
+  EXPECT_FALSE(none_left.valid);
+  EXPECT_EQ(none_left.error, "step 7: derived clause is not RUP");
+  EXPECT_EQ(none_left.stats.deletions, 2u);
+
+  const DratCheckResult third = check_derivations(read_trace_string(
+      "o 1 2 0\no 1 2 0\nd 1 2 0\nd 1 2 0\nd 1 2 0\n"));
+  EXPECT_FALSE(third.valid);
+  EXPECT_EQ(third.error, "step 5: deletion of a clause not in the database");
+  EXPECT_EQ(third.stats.deletions, 2u);
+}
+
+TEST(DratCheck, DeletionMatchesAnyLiteralOrderAfterWatchMoves) {
+  // The unit -1 makes propagation move the watch of (1 2 3 4) off x1,
+  // permuting the stored clause; the RUP query for "a 2 5 0" moves its
+  // watch off x2 as well. The deletion, written in yet another order and
+  // with a duplicate literal, must still find the clause, and must really
+  // remove it: "a 4 0" is RUP only while it is live.
+  const std::string prefix =
+      "o 1 2 3 4 0\no -1 0\no 5 6 0\no 5 -6 0\na 2 5 0\n";
+  const std::string suffix = "o -2 0\no -3 0\na 4 0\n";
+  const DratCheckResult kept =
+      check_derivations(read_trace_string(prefix + suffix));
+  EXPECT_TRUE(kept.valid) << kept.error;
+
+  const DratCheckResult erased = check_derivations(
+      read_trace_string(prefix + "d 3 1 4 3 2 0\n" + suffix));
+  EXPECT_FALSE(erased.valid);
+  EXPECT_EQ(erased.error, "step 9: derived clause is not RUP");
+  EXPECT_EQ(erased.stats.deletions, 1u);
+  EXPECT_EQ(erased.stats.ignored_deletions, 0u);
+}
+
+TEST(DratCheck, DeletingAUnitAnchorIsIgnoredAndCounted) {
+  // -2 forces 1 through (1 2): the clause is the reason for a persistent
+  // assignment, so deleting it (twice -- it stays live) and deleting the
+  // unit -2 itself are all ignored. (3 4) anchors nothing and goes.
+  const DratCheckResult result = check_derivations(read_trace_string(
+      "o 1 2 0\no -2 0\no 3 4 0\nd 2 1 0\nd 1 2 0\nd -2 0\nd 3 4 0\n"));
+  EXPECT_TRUE(result.valid) << result.error;
+  EXPECT_EQ(result.stats.originals, 3u);
+  EXPECT_EQ(result.stats.ignored_deletions, 3u);
+  EXPECT_EQ(result.stats.deletions, 1u);
+}
+
 // --- solver-emitted proofs -------------------------------------------------
 
 TEST(SolverProof, PigeonholeRefutationChecks) {
@@ -279,6 +337,206 @@ TEST(SolverProof, VerifyModelCoversAssumptions) {
   // A literal the model falsifies must fail the check.
   const Lit forced = solver.model_bool(0) ? Lit::make(0, true) : Lit::make(0);
   EXPECT_FALSE(solver.verify_model({forced}));
+}
+
+// --- checker output pins ---------------------------------------------------
+//
+// The exact DratCheckStats the checker reports on four solver-generated
+// refutations. Every field -- propagations and ignored deletions included --
+// follows from the checker's watch order, propagation order and deletion
+// rules, so a change to the checker's data layout must leave them all
+// unchanged. The trace's own size is pinned first: if a solver change
+// alters the trace, that assertion fails and the pins need re-recording,
+// which is a solver change, not a checker regression.
+
+struct PinnedTrace {
+  const char* name;
+  DratTrace trace;
+  std::size_t steps;
+  DratCheckStats stats;
+};
+
+DratTrace reduced_pigeonhole_trace() {
+  // A tiny learned-clause cap forces DB reductions, hence deletion lines.
+  Solver solver;
+  SolverConfig config;
+  config.max_learned = 32;
+  config.restart_base = 16;
+  solver.set_config(config);
+  DratTrace trace;
+  solver.set_proof(&trace);
+  add_pigeonhole(solver, 7, 6);
+  EXPECT_EQ(solver.solve(), Result::kUnsat);
+  return trace;
+}
+
+DratTrace preprocessed_pigeonhole_trace() {
+  SolverPortfolio portfolio(1, 5);
+  portfolio.enable_proof();
+  portfolio.enable_preprocessing();
+  add_pigeonhole(portfolio, 7, 6);
+  EXPECT_EQ(portfolio.solve().result, Result::kUnsat);
+  return portfolio.winner_trace() ? *portfolio.winner_trace() : DratTrace{};
+}
+
+DratTrace inprocessed_pigeonhole_trace() {
+  // Vivification, subsumption and probing at every restart.
+  Solver solver;
+  SolverConfig config;
+  config.restart_base = 4;
+  solver.set_config(config);
+  InprocessConfig inprocess;
+  inprocess.enabled = true;
+  inprocess.interval_base = 1;
+  inprocess.interval_growth = 0;
+  solver.set_inprocess(inprocess);
+  DratTrace trace;
+  solver.set_proof(&trace);
+  add_pigeonhole(solver, 7, 6);
+  EXPECT_EQ(solver.solve(), Result::kUnsat);
+  EXPECT_GT(solver.inprocess_stats().passes, 0u);
+  return trace;
+}
+
+DratTrace attack_trace() {
+  // A certified RIL-Block attack; its DB reductions delete some clauses
+  // that anchor checker-side units, so ignored_deletions is non-zero.
+  benchgen::RandomDagParams params;
+  params.num_inputs = 12;
+  params.num_outputs = 6;
+  params.num_gates = 200;
+  params.seed = 2;
+  const netlist::Netlist host = benchgen::generate_random_dag(params);
+  core::RilBlockConfig config;
+  config.size = 4;
+  const auto ril = locking::lock_ril(host, 1, config, 33);
+  attacks::Oracle oracle(ril.locked.netlist, ril.locked.key);
+  attacks::SatAttackOptions options;
+  options.certify = true;
+  const auto result =
+      attacks::run_sat_attack(ril.locked.netlist, oracle, options);
+  EXPECT_EQ(result.status, attacks::SatAttackStatus::kKeyFound);
+  return result.proof_trace ? *result.proof_trace : DratTrace{};
+}
+
+std::vector<PinnedTrace> pinned_traces() {
+  std::vector<PinnedTrace> out;
+  out.push_back({"reduced", reduced_pigeonhole_trace(), 3427,
+                 {133, 1823, 1471, 0, 48933}});
+  out.push_back({"preprocessed", preprocessed_pigeonhole_trace(), 977,
+                 {133, 844, 0, 0, 22749}});
+  out.push_back({"inprocessed", inprocessed_pigeonhole_trace(), 4202,
+                 {133, 2226, 1843, 0, 44161}});
+  out.push_back({"attack", attack_trace(), 4353,
+                 {2935, 711, 695, 12, 30920}});
+  return out;
+}
+
+void expect_same_result(const DratCheckResult& got,
+                        const DratCheckResult& want, const std::string& what) {
+  EXPECT_EQ(got.valid, want.valid) << what;
+  EXPECT_EQ(got.malformed, want.malformed) << what;
+  EXPECT_EQ(got.error, want.error) << what;
+  EXPECT_EQ(got.stats.originals, want.stats.originals) << what;
+  EXPECT_EQ(got.stats.derivations, want.stats.derivations) << what;
+  EXPECT_EQ(got.stats.deletions, want.stats.deletions) << what;
+  EXPECT_EQ(got.stats.ignored_deletions, want.stats.ignored_deletions)
+      << what;
+  EXPECT_EQ(got.stats.propagations, want.stats.propagations) << what;
+}
+
+TEST(DratCheckPins, SolverTracesReportPinnedStats) {
+  for (const PinnedTrace& pin : pinned_traces()) {
+    ASSERT_EQ(pin.trace.size(), pin.steps)
+        << pin.name << ": the solver's trace changed; re-record the pins";
+    DratCheckResult want;
+    want.valid = true;
+    want.stats = pin.stats;
+    expect_same_result(check_refutation(pin.trace), want, pin.name);
+    expect_same_result(check_derivations(pin.trace), want, pin.name);
+  }
+}
+
+TEST(DratCheckPins, InMemoryAndFileEntryPointsAgree) {
+  // The same trace checked in memory, from its binary file
+  // (FileProofTracer) and from its text file (write_trace_file) must give
+  // equal results -- verdict, error string and every stat -- for valid,
+  // open and failing traces alike.
+  std::vector<std::pair<std::string, DratTrace>> traces;
+  for (PinnedTrace& pin : pinned_traces()) {
+    traces.emplace_back(pin.name, std::move(pin.trace));
+  }
+  {
+    // Open: 5 pigeons, 5 holes, assumed out of the last hole -- UNSAT
+    // only under the assumptions, so the trace ends in a core, not in the
+    // empty clause.
+    Solver solver;
+    DratTrace trace;
+    solver.set_proof(&trace);
+    add_pigeonhole(solver, 5, 5);
+    std::vector<Lit> last_hole_empty;
+    for (int p = 0; p < 5; ++p) {
+      last_hole_empty.push_back(Lit::make(p * 5 + 4, true));
+    }
+    EXPECT_EQ(solver.solve(last_hole_empty), Result::kUnsat);
+    traces.emplace_back("open", std::move(trace));
+  }
+  {
+    // Failing: the reduced trace without its first axiom.
+    const DratTrace& reduced = traces.front().second;
+    DratTrace broken;
+    bool dropped = false;
+    for (const ProofStep& step : reduced.steps()) {
+      if (!dropped && step.kind == ProofStepKind::kOriginal) {
+        dropped = true;
+        continue;
+      }
+      switch (step.kind) {
+        case ProofStepKind::kOriginal: broken.original(step.lits); break;
+        case ProofStepKind::kDerive: broken.derive(step.lits); break;
+        case ProofStepKind::kErase: broken.erase(step.lits); break;
+      }
+    }
+    traces.emplace_back("broken", std::move(broken));
+  }
+
+  const std::string binary_path = "drat_check_agree.drat";
+  const std::string text_path = "drat_check_agree.txt";
+  for (const auto& [name, trace] : traces) {
+    {
+      FileProofTracer tracer(binary_path);
+      for (const ProofStep& step : trace.steps()) {
+        switch (step.kind) {
+          case ProofStepKind::kOriginal: tracer.original(step.lits); break;
+          case ProofStepKind::kDerive: tracer.derive(step.lits); break;
+          case ProofStepKind::kErase: tracer.erase(step.lits); break;
+        }
+      }
+      tracer.finalize();
+    }
+    write_trace_file(text_path, trace);
+
+    const DratCheckResult refutation = check_refutation(trace);
+    const DratCheckResult derivations = check_derivations(trace);
+    expect_same_result(check_refutation_file(binary_path), refutation,
+                       name + " binary refutation");
+    expect_same_result(check_refutation_file(text_path), refutation,
+                       name + " text refutation");
+    expect_same_result(check_derivations_file(binary_path), derivations,
+                       name + " binary derivations");
+    expect_same_result(check_derivations_file(text_path), derivations,
+                       name + " text derivations");
+    if (name == "open") {
+      EXPECT_FALSE(refutation.valid);
+      EXPECT_TRUE(derivations.valid) << derivations.error;
+    }
+    if (name == "broken") {
+      EXPECT_FALSE(derivations.valid);
+      EXPECT_FALSE(derivations.error.empty());
+    }
+  }
+  std::remove(binary_path.c_str());
+  std::remove(text_path.c_str());
 }
 
 // --- portfolio certification ----------------------------------------------

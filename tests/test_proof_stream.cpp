@@ -258,6 +258,52 @@ TEST(TraceReader, FooterTamperRejectedEvenWhenRefutationChecks) {
   std::remove(path.c_str());
 }
 
+TEST(TraceReader, TenByteVarintOverflowIsRejected) {
+  // A 10-byte varint holds bits 63..69 in its last byte; only bit 63 fits
+  // in 64 bits. The reader used to drop bits 64..69, so 5 + 2^64 decoded as
+  // 5 and a tampered trace checked as valid.
+  const std::string path = "proof_stream_varint.drat";
+  const std::string magic = {static_cast<char>(kBinaryTraceMagic0), 'D', 'R',
+                             'A', 'T', '\x01'};
+  // The varint of `low` (< 128) plus `high` << 63, padded to 10 bytes.
+  const auto ten_bytes = [](char low, char high) {
+    std::string out(1, static_cast<char>(low | 0x80));
+    out.append(8, static_cast<char>(0x80));
+    out.push_back(high);
+    return out;
+  };
+
+  // Literal varint 5 + 2^64: without the check it reads as literal code 3.
+  write_bytes(path, magic + "o" + ten_bytes(5, 2) + '\0' + "e\x01");
+  DratCheckResult check = check_derivations_file(path);
+  EXPECT_FALSE(check.valid);
+  EXPECT_TRUE(check.malformed);
+  EXPECT_NE(check.error.find("varint overflow"), std::string::npos)
+      << check.error;
+
+  // Bit 63 itself still decodes; the value is then out of literal range.
+  write_bytes(path, magic + "o" + ten_bytes(5, 1) + '\0' + "e\x01");
+  check = check_derivations_file(path);
+  EXPECT_TRUE(check.malformed);
+  EXPECT_NE(check.error.find("literal code out of range"), std::string::npos)
+      << check.error;
+
+  // A valid three-step refutation whose end marker declares 3 + 2^64.
+  const std::string x1 = "\x02";  // varint(code 0 + 2)
+  const std::string not_x1 = "\x03";
+  const std::string steps = "o" + x1 + '\0' + "o" + not_x1 + '\0' + "a" +
+                            '\0';
+  write_bytes(path, magic + steps + "e\x03");
+  ASSERT_TRUE(check_refutation_file(path).valid);
+  write_bytes(path, magic + steps + "e" + ten_bytes(3, 2));
+  check = check_refutation_file(path);
+  EXPECT_FALSE(check.valid);
+  EXPECT_TRUE(check.malformed);
+  EXPECT_NE(check.error.find("varint overflow"), std::string::npos)
+      << check.error;
+  std::remove(path.c_str());
+}
+
 TEST(TraceReader, EmptyFileIsACleanEmptyTrace) {
   const std::string path = "proof_stream_empty.drat";
   write_bytes(path, "");
