@@ -178,7 +178,9 @@ TEST(Service, ConcurrentAttacksShareCachesAndAgree) {
   // The acceptance criterion: repeated attacks hit both cache levels, and
   // the counters are visible in the response JSON.
   const std::string stats = service.handle(get("/v1/stats")).body;
-  EXPECT_GT(json_number_field(stats, "hits"), 0) << stats;  // first = netlist
+  const std::string netlist =
+      "{" + json_object_field(stats, "netlist_cache") + "}";
+  EXPECT_GT(json_number_field(netlist, "hits"), 0) << stats;
   const std::string skeleton =
       "{" + json_object_field(stats, "skeleton_cache") + "}";
   EXPECT_GT(json_number_field(skeleton, "hits"), 0) << stats;
@@ -362,6 +364,54 @@ TEST(Service, JournalReplaySurvivesRestart) {
       .body;
   const std::string fresh_id = json_string_field(fresh, "id");
   EXPECT_EQ(fresh_id, "job-8") << fresh;
+  std::remove(journal.c_str());
+}
+
+TEST(Service, ReplayedCheckProofJobHasNoCertificate) {
+  // A check-proof job's payload names the proof it checked, but the job
+  // publishes no certificate of its own -- also after a journal replay.
+  const std::string journal = "service_check_replay_test.jsonl";
+  std::remove(journal.c_str());
+  const netlist::Netlist host = small_host(81);
+  const auto locked = locking::lock_xor(host, 6, 19);
+
+  std::string attack_id;
+  std::string check_id;
+  std::string proof_path;
+  {
+    ServiceOptions options;
+    options.workers = 1;
+    options.proof_dir = ".";
+    options.journal_path = journal;
+    AttackService service(options);
+    const std::string attack = service
+        .handle(post_job(attack_body(
+            netlist::write_bench_string(locked.netlist),
+            netlist::write_bench_string(host),
+            ",\"certify\":true,\"proof_name\":\"service_check_replay\"")))
+        .body;
+    attack_id = json_string_field(attack, "id");
+    proof_path = json_string_field(attack, "proof_path");
+    ASSERT_FALSE(proof_path.empty()) << attack;
+    const std::string check = service
+        .handle(post_job("{\"type\":\"check-proof\",\"job\":\"" +
+                         attack_id + "\"}"))
+        .body;
+    check_id = json_string_field(check, "id");
+    ASSERT_EQ(json_string_field(check, "status"), "ok") << check;
+    EXPECT_EQ(service.handle(get("/v1/jobs/" + check_id + "/proof")).status,
+              404);
+  }
+
+  ServiceOptions options;
+  options.workers = 1;
+  options.journal_path = journal;
+  AttackService service(options);
+  EXPECT_EQ(service.handle(get("/v1/jobs/" + check_id + "/proof")).status,
+            404);
+  EXPECT_EQ(service.handle(get("/v1/jobs/" + attack_id + "/proof")).status,
+            200);
+  std::remove(proof_path.c_str());
   std::remove(journal.c_str());
 }
 
