@@ -1,11 +1,12 @@
 // google-benchmark micro-kernels for the core engines: bit-parallel logic
-// simulation, Tseitin encoding, CDCL propagation-heavy solving, banyan
-// construction, and RIL insertion. These are the throughput numbers behind
-// the table benches' wall-clock results.
+// simulation, Tseitin encoding, CDCL propagation-heavy solving, miter
+// preprocessing, banyan construction, and RIL insertion. These are the
+// throughput numbers behind the table benches' wall-clock results.
 #include <benchmark/benchmark.h>
 
 #include <random>
 
+#include "attacks/engine/miter_context.hpp"
 #include "attacks/oracle.hpp"
 #include "benchgen/random_dag.hpp"
 #include "benchgen/suite.hpp"
@@ -14,6 +15,7 @@
 #include "core/ril_block.hpp"
 #include "locking/schemes.hpp"
 #include "netlist/simulator.hpp"
+#include "sat/preprocessor.hpp"
 #include "sat/solver.hpp"
 
 namespace {
@@ -73,6 +75,36 @@ void BM_SolverRandom3Sat(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverRandom3Sat)->Arg(100)->Arg(200);
+
+void BM_PreprocessMiter(benchmark::State& state) {
+  // A miter of the serve workload's capped-attack shape (b20 at scale 1,
+  // one 8x8 RIL block), captured once and replayed into a fresh
+  // Preprocessor per iteration with the SAT attack's freeze set and DRAT
+  // steps recorded: staging plus run(), in submitted clauses per second.
+  const auto host = benchgen::make_benchmark("b20", 1.0);
+  core::RilBlockConfig config;
+  config.size = 8;
+  const auto ril = locking::lock_ril(host, 1, config, 104729);
+  const netlist::Netlist& locked = ril.locked.netlist;
+  attacks::engine::MiterSkeleton skeleton;
+  {
+    sat::CountingSink dry;
+    const attacks::engine::MiterContext capture(locked, dry, &skeleton);
+  }
+  for (auto _ : state) {
+    sat::Preprocessor prep;
+    const attacks::engine::MiterContext ctx(locked, skeleton, prep);
+    prep.freeze(ctx.input_vars());
+    prep.freeze(ctx.copy(0).key_vars);
+    prep.freeze(ctx.copy(1).key_vars);
+    prep.enable_proof();
+    prep.run();
+    benchmark::DoNotOptimize(prep.stats().clauses_after);
+  }
+  state.SetItemsProcessed(state.iterations() * skeleton.clauses.size());
+  state.SetLabel(std::to_string(skeleton.clauses.size()) + " clauses/miter");
+}
+BENCHMARK(BM_PreprocessMiter)->Unit(benchmark::kMillisecond);
 
 void BM_BanyanPermutation(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -296,8 +296,8 @@ bool SolverPortfolio::add_clause(Clause lits) {
 }
 
 bool SolverPortfolio::add_clauses(const sat::ClauseBatch& batch) {
-  // Staged clauses go to the preprocessor one at a time; it keeps each.
-  if (prep_ && !prep_done_) return ClauseSink::add_clauses(batch);
+  // Staged: the preprocessor keeps the whole batch in its own arena.
+  if (prep_ && !prep_done_) return prep_->add_clauses(batch);
   const sat::ClauseBatch* fed = &batch;
   if (prep_) {
     remapped_.clear();
@@ -374,16 +374,17 @@ void SolverPortfolio::finish_preprocessing(
   ipc_frozen_outer_.clear();
 
   // The simplified formula in member numbering, built once for every
-  // member's batch feed.
-  sat::ClauseBatch simplified;
-  {
-    Clause inner;
-    for (const Clause& c : prep_->clauses()) {
-      remap_.clause_to_inner(c, inner);
-      simplified.lits.insert(simplified.lits.end(), inner.begin(), inner.end());
-      simplified.seal();
+  // member's batch feed. Identity numbering (proof mode) feeds it as is.
+  const sat::ClauseBatch& staged = prep_->clauses();
+  sat::ClauseBatch remapped;
+  if (!proof) {
+    remapped.lits.reserve(staged.lit_count());
+    remapped.ends = staged.ends;
+    for (const Lit l : staged.lits) {
+      remapped.lits.push_back(remap_.lit_to_inner(l));
     }
   }
+  const sat::ClauseBatch& simplified = proof ? staged : remapped;
   for (std::size_t i = 0; i < solvers_.size(); ++i) {
     sat::Solver& solver = *solvers_[i];
     if (proof) {
@@ -391,7 +392,11 @@ void SolverPortfolio::finish_preprocessing(
       // derive the simplified one, and the members are then fed silently
       // so they do not re-log the simplified clauses as axioms.
       sat::ProofTracer& trace = *member_tracer(i);
-      for (const Clause& original : prep_->originals()) {
+      const sat::ClauseBatch& originals = prep_->originals();
+      Clause original;
+      for (std::size_t c = 0; c < originals.size(); ++c) {
+        const auto lits = originals.clause(c);
+        original.assign(lits.begin(), lits.end());
         trace.original(original);
       }
       for (const sat::ProofStep& step : prep_->trace().steps()) {

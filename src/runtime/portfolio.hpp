@@ -84,7 +84,7 @@ class SolverPortfolio : public sat::ClauseSink {
   /// batch is fed from one worker thread per member (each member is an
   /// independent solver, including its private proof trace, so the
   /// fan-out needs no locking); small ones member after member. Before
-  /// preprocessing runs, clauses are staged one by one.
+  /// preprocessing runs, the whole batch is staged in the preprocessor.
   bool add_clauses(const sat::ClauseBatch& batch) override;
   using sat::ClauseSink::add_clause;
 
@@ -130,9 +130,10 @@ class SolverPortfolio : public sat::ClauseSink {
   /// be frozen before that first solve, or those calls throw
   /// std::logic_error when they hit an eliminated variable.
   ///
-  /// Composes with enable_proof(): the preprocessor's elimination and
-  /// strengthening steps are replayed into each member's trace (originals
-  /// first, so the axiom set stays the unsimplified formula), variable
+  /// Composes with enable_proof() and enable_proof_files(): the
+  /// preprocessor's elimination and strengthening steps are replayed into
+  /// each member's proof sink, in-memory or streamed (originals first, so
+  /// the axiom set stays the unsimplified formula), variable
   /// numbering stays identity, and the simplified clauses are fed with
   /// member-side logging detached -- the resulting traces still pass
   /// sat::check_refutation. Models are reconstructed against the original

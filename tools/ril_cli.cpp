@@ -326,6 +326,26 @@ std::string certification_fields(const attacks::SatAttackResult& result) {
          ",\"models_ok\":" + (result.models_verified ? "true" : "false");
 }
 
+/// JSON fragment with the miter preprocessor's counters and wall time, as
+/// a "preprocess_stats" object next to the "preprocess" on/off flag.
+/// Empty when the miter was not preprocessed.
+std::string preprocess_fields(const attacks::SatAttackResult& result) {
+  if (!result.preprocessed) return "";
+  const sat::PreprocessStats& p = result.preprocess;
+  char seconds[32];
+  std::snprintf(seconds, sizeof(seconds), "%.6f", p.seconds);
+  return ",\"preprocess_stats\":{\"clauses_before\":" +
+         std::to_string(p.clauses_before) +
+         ",\"clauses_after\":" + std::to_string(p.clauses_after) +
+         ",\"vars_before\":" + std::to_string(p.vars_before) +
+         ",\"vars_after\":" + std::to_string(p.vars_after) +
+         ",\"eliminated\":" + std::to_string(p.eliminated_vars) +
+         ",\"subsumed\":" + std::to_string(p.subsumed_clauses) +
+         ",\"strengthened\":" + std::to_string(p.strengthened_literals) +
+         ",\"rounds\":" + std::to_string(p.rounds) +
+         ",\"seconds\":" + seconds + "}";
+}
+
 /// JSON fragment with the aggregated inprocessing counters. Empty when the
 /// attack ran with --no-inprocess, keeping the legacy telemetry shape.
 std::string inprocess_fields(const attacks::SatAttackResult& result) {
@@ -449,10 +469,11 @@ int cmd_attack(const Args& args) {
       if (result.preprocessed) {
         const sat::PreprocessStats& p = result.preprocess;
         std::printf("preprocess: miter %zu -> %zu clauses, %zu -> %zu vars"
-                    " (%zu eliminated, %zu subsumed, %zu strengthened)\n",
+                    " (%zu eliminated, %zu subsumed, %zu strengthened)"
+                    " in %.3fs\n",
                     p.clauses_before, p.clauses_after, p.vars_before,
                     p.vars_after, p.eliminated_vars, p.subsumed_clauses,
-                    p.strengthened_literals);
+                    p.strengthened_literals, p.seconds);
       }
       if (result.inprocessed && result.inprocess.passes > 0) {
         const sat::InprocessStats& s = result.inprocess;
@@ -499,6 +520,7 @@ int cmd_attack(const Args& args) {
                          result.encoded_clauses, result.saved_clauses,
                          result.solve_log,
                          certification_fields(result) +
+                             preprocess_fields(result) +
                              inprocess_fields(result));
       }
       if (result.status == attacks::SatAttackStatus::kKeyFound) {
