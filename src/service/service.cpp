@@ -15,24 +15,12 @@
 
 namespace ril::service {
 
+using runtime::json_bool_field;
 using runtime::json_escape;
 using runtime::json_number_field;
 using runtime::json_string_field;
 
 namespace {
-
-/// `"field":true|false` from a flat JSON object; `fallback` when absent.
-bool json_bool_field(const std::string& body, const std::string& field,
-                     bool fallback = false) {
-  const std::string needle = "\"" + field + "\":";
-  const std::size_t pos = body.find(needle);
-  if (pos == std::string::npos) return fallback;
-  std::size_t v = pos + needle.size();
-  while (v < body.size() && (body[v] == ' ' || body[v] == '\t')) ++v;
-  if (body.compare(v, 4, "true") == 0) return true;
-  if (body.compare(v, 5, "false") == 0) return false;
-  return fallback;
-}
 
 std::string key_to_string(const std::vector<bool>& key) {
   std::string out;
