@@ -167,9 +167,6 @@ RunStats run_attack(const netlist::Netlist& locked,
   options.time_limit_seconds = timeout;
   options.portfolio_seed = seed;
   options.preprocess = preprocess;
-  // This benchmark measures the layers explicitly; the gate-count
-  // auto-enable must not decide for it.
-  options.preprocess_auto = false;
   options.inprocess = inprocess;
   const auto result = attacks::run_sat_attack(locked, oracle, options);
   RunStats stats;
@@ -247,7 +244,6 @@ CertifiedStats run_certified_streaming(const netlist::Netlist& locked,
   options.time_limit_seconds = timeout;
   options.portfolio_seed = seed;
   options.preprocess = true;
-  options.preprocess_auto = false;
   options.inprocess = true;
   options.certify = true;
   options.proof_file = proof_path;

@@ -1,10 +1,51 @@
 #include "attacks/sat_attack.hpp"
 
+#include <stdlib.h>
+
+#include <filesystem>
+#include <stdexcept>
+#include <system_error>
+
 #include "attacks/engine/dip_encoder.hpp"
 #include "attacks/engine/miter_context.hpp"
 #include "sat/drat_check.hpp"
 
 namespace ril::attacks {
+
+namespace {
+
+/// A private mkdtemp directory under the system temp directory for a
+/// certificate the caller did not ask to keep. Removes itself and
+/// everything in it on destruction, so no exit path leaves a file behind.
+class ScratchDir {
+ public:
+  ScratchDir() = default;
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  ~ScratchDir() {
+    if (path_.empty()) return;
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+
+  /// Creates the directory and returns its path.
+  const std::string& create() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "ril-proof-XXXXXX")
+            .string();
+    if (::mkdtemp(pattern.data()) == nullptr) {
+      throw std::runtime_error("cannot create a proof directory from " +
+                               pattern);
+    }
+    path_ = std::move(pattern);
+    return path_;
+  }
+
+ private:
+  std::string path_;
+};
+
+}  // namespace
 
 using netlist::Netlist;
 using runtime::SolverPortfolio;
@@ -17,7 +58,6 @@ std::string to_string(ProofStatus status) {
     case ProofStatus::kValid: return "valid";
     case ProofStatus::kOpen: return "open";
     case ProofStatus::kInvalid: return "invalid";
-    case ProofStatus::kMissing: return "missing";
   }
   return "?";
 }
@@ -39,14 +79,15 @@ SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
 
   SatAttackResult result;
 
-  // Preprocessing is on by default (`preprocess`); `preprocess_auto`
-  // turns it back on at scale only when the caller cleared `preprocess`.
-  // --no-preprocess clears both.
-  const bool preprocess =
-      options.preprocess ||
-      (options.preprocess_auto &&
-       locked.gate_count() >= options.preprocess_auto_min_gates);
-  const bool stream_proof = options.certify && !options.proof_file.empty();
+  // Certification streams the miter members' traces to disk. Without a
+  // caller-named proof_file they go to a private temp directory, checked
+  // there and removed with it (declared before the portfolio, so the
+  // members' temps are abandoned before the directory goes).
+  ScratchDir scratch;
+  std::string proof_file = options.proof_file;
+  if (options.certify && proof_file.empty()) {
+    proof_file = scratch.create() + "/miter.drat";
+  }
 
   // Miter portfolio: shared X, independent K1 / K2 in every member.
   SolverPortfolio miter(options.jobs, options.portfolio_seed);
@@ -55,14 +96,26 @@ SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
   // member's trace carries the full axiom stream. Only the miter verdict
   // is certified -- the UNSAT that terminates the DIP loop is the claim
   // the paper's iteration counts rest on.
-  if (options.certify) {
-    if (stream_proof) {
-      miter.enable_proof_files(options.proof_file);
-    } else {
-      miter.enable_proof();
+  if (options.certify) miter.enable_proof(proof_file);
+  // Seals the winning member's trace at proof_file and validates it with
+  // the independent streaming checker: as a refutation after miter-UNSAT
+  // (a trace without the empty clause is then invalid), as an open
+  // certificate when the attack stopped earlier.
+  const auto certify = [&](bool refutation) {
+    result.proof_steps = miter.winner_file_trace()->steps();
+    const std::uint64_t bytes = miter.promote_winner_trace(proof_file);
+    if (!options.proof_file.empty()) {
+      result.proof_path = proof_file;
+      result.proof_bytes = bytes;
     }
-  }
-  if (preprocess) miter.enable_preprocessing();
+    const sat::DratCheckResult check =
+        refutation ? sat::check_refutation_file(proof_file)
+                   : sat::check_derivations_file(proof_file);
+    result.proof_status = !check.valid ? ProofStatus::kInvalid
+                          : refutation ? ProofStatus::kValid
+                                       : ProofStatus::kOpen;
+  };
+  if (options.preprocess) miter.enable_preprocessing();
   if (options.inprocess) miter.enable_inprocessing();
   const engine::MiterContext ctx = [&]() -> engine::MiterContext {
     if (options.miter_skeleton != nullptr) {
@@ -70,7 +123,7 @@ SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
     }
     return engine::MiterContext(locked, miter, options.capture_skeleton);
   }();
-  if (preprocess || options.inprocess) {
+  if (options.preprocess || options.inprocess) {
     // The DIP loop reads X from each model and adds constraints over both
     // key vectors, so those variables must survive elimination (and stay
     // exempt from failed-literal probing).
@@ -82,11 +135,11 @@ SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
   // Key-determination portfolio: one key vector constrained by all DIPs.
   SolverPortfolio key_solver(options.jobs, options.portfolio_seed + 0x9e37);
   key_solver.set_external_stop(budget.stop_flag());
-  if (preprocess) key_solver.enable_preprocessing();
+  if (options.preprocess) key_solver.enable_preprocessing();
   if (options.inprocess) key_solver.enable_inprocessing();
   const std::vector<Var> key_vars =
       engine::make_vars(key_solver, locked.key_inputs().size());
-  if (preprocess || options.inprocess) key_solver.freeze(key_vars);
+  if (options.preprocess || options.inprocess) key_solver.freeze(key_vars);
 
   engine::DipConstraintEncoder dips(locked, options.specialize_dips);
 
@@ -112,39 +165,7 @@ SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
       break;
     }
     if (r == sat::Result::kUnsat) {
-      if (options.certify) {
-        // The winner's trace is the certificate; validate it with the
-        // independent checker before trusting the verdict.
-        if (stream_proof) {
-          const sat::FileProofTracer* trace = miter.winner_file_trace();
-          if (trace != nullptr && trace->closed()) {
-            result.proof_steps = trace->steps();
-            result.proof_bytes =
-                miter.promote_winner_trace(options.proof_file);
-            result.proof_path = options.proof_file;
-            // Single streaming pass over the published file -- the
-            // certificate is re-read from disk, never rebuilt in memory.
-            result.proof_status =
-                sat::check_refutation_file(options.proof_file).valid
-                    ? ProofStatus::kValid
-                    : ProofStatus::kInvalid;
-          } else {
-            result.proof_status = ProofStatus::kMissing;
-          }
-        } else {
-          const sat::DratTrace* trace = miter.winner_trace();
-          if (trace != nullptr && trace->closed()) {
-            auto certificate = std::make_shared<sat::DratTrace>(*trace);
-            result.proof_steps = certificate->size();
-            result.proof_status = sat::check_refutation(*certificate).valid
-                                      ? ProofStatus::kValid
-                                      : ProofStatus::kInvalid;
-            result.proof_trace = std::move(certificate);
-          } else {
-            result.proof_status = ProofStatus::kMissing;
-          }
-        }
-      }
+      if (options.certify) certify(/*refutation=*/true);
       // No DIP remains: extract any consistent key.
       if (budget.limited() || budget.cancelled()) {
         if (budget.expired()) {
@@ -213,26 +234,14 @@ SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
 
   if (options.certify &&
       result.proof_status == ProofStatus::kNotRequested) {
-    // The attack stopped before miter-UNSAT (timeout, iteration cap). In
-    // streaming mode the winner's partial trace is still worth publishing:
-    // every derivation in it RUP-checks against the logged axioms, so it
-    // is an *open* certificate of the work done so far -- exactly what
-    // `ril check-proof --open` accepts. On 200k+-gate hosts the final
-    // whole-miter refutation is beyond the CDCL core, so this is the
-    // certificate such runs actually produce (see docs/SCALING.md).
-    const sat::FileProofTracer* trace =
-        stream_proof ? miter.winner_file_trace() : nullptr;
-    if (trace != nullptr) {
-      result.proof_steps = trace->steps();
-      result.proof_bytes = miter.promote_winner_trace(options.proof_file);
-      result.proof_path = options.proof_file;
-      result.proof_status =
-          sat::check_derivations_file(options.proof_file).valid
-              ? ProofStatus::kOpen
-              : ProofStatus::kInvalid;
-    } else {
-      result.proof_status = ProofStatus::kMissing;  // no trace to publish
-    }
+    // The attack stopped before miter-UNSAT (timeout, iteration cap). The
+    // winner's partial trace is still an *open* certificate of the work
+    // done so far: every derivation in it RUP-checks against the logged
+    // axioms -- exactly what `ril check-proof --open` accepts. On
+    // 200k+-gate hosts the final whole-miter refutation is beyond the CDCL
+    // core, so this is the certificate such runs actually produce (see
+    // docs/SCALING.md).
+    certify(/*refutation=*/false);
   }
   result.seconds = budget.elapsed();
   result.conflicts = miter.total_conflicts();

@@ -53,48 +53,35 @@ struct SatAttackOptions {
   /// Optional caller-owned cancellation flag: raise it from any thread to
   /// unwind the attack cooperatively (reported as kTimeout).
   const std::atomic<bool>* cancel = nullptr;
-  /// Certify the verdict: log a DRAT trace in every miter-portfolio
-  /// member, self-check each SAT model, and on miter-UNSAT validate the
-  /// winner's trace with the independent RUP checker. The certificate is
-  /// returned in SatAttackResult::proof_trace (or streamed to disk when
-  /// proof_file is set). Off by default; the search itself is
-  /// bit-identical either way.
+  /// Certify the verdict: stream a DRAT trace from every miter-portfolio
+  /// member to disk (sat::FileProofTracer), self-check each SAT model, and
+  /// validate the winner's trace with the independent streaming checker
+  /// when the attack ends: as a refutation after miter-UNSAT
+  /// (ProofStatus::kValid), as an *open* certificate -- every step
+  /// RUP-checks against the axioms, no empty clause -- when it stopped
+  /// earlier (timeout, iteration cap; ProofStatus::kOpen). The proof never
+  /// lives in RAM, which keeps certified attacks on 100k+-gate hosts
+  /// inside the encoder's memory envelope. Off by default; the search
+  /// itself is bit-identical either way.
   bool certify = false;
-  /// With certify: stream every member's trace to disk instead of
-  /// buffering it (sat::FileProofTracer under `proof_file + ".m<i>"`
-  /// temps). On miter-UNSAT the winner's trace is atomically published as
-  /// `proof_file`, validated with the streaming checker, and
-  /// SatAttackResult::{proof_path, proof_bytes} are filled;
-  /// proof_trace stays null. If the attack stops before miter-UNSAT
-  /// (timeout, iteration cap), the winner's trace is still published as
-  /// an *open* certificate -- every step RUP-checks against the axioms
-  /// but no empty clause lands -- validated with
-  /// sat::check_derivations_file and reported as ProofStatus::kOpen.
-  /// This is what keeps certified attacks on 100k+-gate hosts inside the
-  /// encoder's memory envelope -- the proof never lives in RAM. Empty
-  /// (the default) keeps the in-memory path.
+  /// With certify: where the winner's trace is published (atomically,
+  /// from the members' `proof_file + ".m<i>"` temps), filling
+  /// SatAttackResult::{proof_path, proof_bytes}. Empty (the default)
+  /// streams into a private directory under the system temp directory
+  /// (TMPDIR) that is removed before the attack returns: the verdict is
+  /// still checked, but nothing is published.
   std::string proof_file;
   /// SatELite-style preprocessing (subsumption, self-subsuming resolution,
   /// bounded variable elimination) of the miter and key-determination
   /// formulas before their first solve. Input and key variables are frozen
   /// so DIP extraction, I/O constraints, and key canonicalization keep
   /// working; composes with certify (elimination steps are replayed into
-  /// the DRAT trace). On by default: the Table-5 median speed-up of
-  /// preprocessing alone is 1.2x, but per scheme it is mixed -- sfll,
-  /// lut and interlock gain, while ril, xor and caslock run below 1x
-  /// (`prep_speedup` in BENCH_solver.json). Set false together with
-  /// `preprocess_auto` (CLI --no-preprocess clears both) to turn
-  /// preprocessing off.
+  /// the DRAT trace). On by default at every host size: the Table-5 median
+  /// speed-up of preprocessing alone is 1.2x, but per scheme it is mixed
+  /// -- sfll, lut and interlock gain, while ril, xor and caslock run below
+  /// 1x (`prep_speedup` in BENCH_solver.json). False (CLI
+  /// --no-preprocess) turns it off at every size.
   bool preprocess = true;
-  /// Auto-enable preprocessing at scale; matters only when `preprocess`
-  /// is false. Then a locked netlist with at least
-  /// `preprocess_auto_min_gates` gates still has its miter and key
-  /// formulas preprocessed -- large-host miters are where
-  /// BVE/subsumption pay for themselves (see docs/SCALING.md). Set false
-  /// together with `preprocess` (CLI --no-preprocess clears both) to
-  /// force preprocessing off.
-  bool preprocess_auto = true;
-  std::size_t preprocess_auto_min_gates = 100000;
   /// Restart-time inprocessing (sat/inprocess.hpp: clause vivification,
   /// learned-clause subsumption, failed-literal probing with hyper-binary
   /// resolution) inside every miter / key portfolio member. Scheduled off
@@ -116,15 +103,18 @@ struct SatAttackOptions {
   engine::MiterSkeleton* capture_skeleton = nullptr;
 };
 
-/// Certification verdict for a whole attack run.
+/// Certification verdict for a whole attack run. Every certified run ends
+/// with one of kValid, kOpen or kInvalid: the winner's trace always exists
+/// on disk and is always checked.
 enum class ProofStatus {
   kNotRequested,  ///< options.certify was false
-  kValid,         ///< UNSAT trace validated by sat::check_refutation
-  kOpen,          ///< streamed open certificate: every step checks, but the
-                  ///< attack stopped before miter-UNSAT so there is no
+  kValid,         ///< miter-UNSAT trace validated by
+                  ///< sat::check_refutation_file
+  kOpen,          ///< open certificate: every step checks, but the attack
+                  ///< stopped before miter-UNSAT so there is no
                   ///< refutation (validated by sat::check_derivations_file)
-  kInvalid,       ///< trace rejected (solver unsoundness!)
-  kMissing,       ///< certify requested but no closed UNSAT trace exists
+  kInvalid,       ///< trace rejected, including a miter-UNSAT trace that
+                  ///< never derives the empty clause (solver unsoundness!)
 };
 
 std::string to_string(ProofStatus status);
@@ -159,13 +149,10 @@ struct SatAttackResult {
   /// Steps in the final miter certificate (originals + derivations +
   /// deletions), 0 unless a certificate was produced.
   std::uint64_t proof_steps = 0;
-  /// The winning miter member's DRAT trace; ends with the empty clause
-  /// when the miter went UNSAT. Null unless options.certify, and null in
-  /// streaming mode (options.proof_file), where the certificate lives on
-  /// disk at proof_path instead.
+  /// Always null (certificates live on disk); kept as callers reset it.
   std::shared_ptr<const sat::DratTrace> proof_trace;
-  /// Published on-disk certificate (streaming mode only): final path and
-  /// size in bytes. Empty/0 when no certificate was published.
+  /// Published on-disk certificate (options.proof_file set): final path
+  /// and size in bytes. Empty/0 when no certificate was published.
   std::string proof_path;
   std::uint64_t proof_bytes = 0;
   /// False iff some SAT model failed the replay self-check (unsound SAT).

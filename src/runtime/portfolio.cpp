@@ -122,16 +122,7 @@ SolverPortfolio::SolverPortfolio(unsigned jobs, std::uint64_t base_seed) {
   }
 }
 
-void SolverPortfolio::enable_proof() {
-  if (proof_enabled()) return;
-  traces_.reserve(solvers_.size());
-  for (auto& solver : solvers_) {
-    traces_.push_back(std::make_unique<sat::DratTrace>());
-    solver->set_proof(traces_.back().get());
-  }
-}
-
-void SolverPortfolio::enable_proof_files(const std::string& stem) {
+void SolverPortfolio::enable_proof(const std::string& stem) {
   if (proof_enabled()) return;
   file_traces_.reserve(solvers_.size());
   for (std::size_t i = 0; i < solvers_.size(); ++i) {
@@ -139,11 +130,6 @@ void SolverPortfolio::enable_proof_files(const std::string& stem) {
         stem + ".m" + std::to_string(i) + ".drat"));
     solvers_[i]->set_proof(file_traces_[i].get());
   }
-}
-
-const sat::DratTrace* SolverPortfolio::winner_trace() const {
-  if (traces_.empty()) return nullptr;
-  return traces_[last_winner_].get();
 }
 
 const sat::FileProofTracer* SolverPortfolio::winner_file_trace() const {
@@ -154,7 +140,7 @@ const sat::FileProofTracer* SolverPortfolio::winner_file_trace() const {
 std::uint64_t SolverPortfolio::promote_winner_trace(const std::string& path) {
   if (file_traces_.empty()) {
     throw std::logic_error(
-        "SolverPortfolio::promote_winner_trace: file-backed proofs are not "
+        "SolverPortfolio::promote_winner_trace: proof logging is not "
         "enabled");
   }
   sat::FileProofTracer& winner = *file_traces_[last_winner_];
@@ -169,24 +155,6 @@ std::uint64_t SolverPortfolio::promote_winner_trace(const std::string& path) {
   for (auto& solver : solvers_) solver->set_proof(nullptr);
   file_traces_.clear();
   return bytes;
-}
-
-sat::ProofTracer* SolverPortfolio::member_tracer(std::size_t i) {
-  if (!traces_.empty()) return traces_[i].get();
-  if (!file_traces_.empty()) return file_traces_[i].get();
-  return nullptr;
-}
-
-bool SolverPortfolio::member_trace_closed(std::size_t i) const {
-  if (!traces_.empty()) return traces_[i]->closed();
-  if (!file_traces_.empty()) return file_traces_[i]->closed();
-  return false;
-}
-
-std::uint64_t SolverPortfolio::member_trace_steps(std::size_t i) const {
-  if (!traces_.empty()) return traces_[i]->size();
-  if (!file_traces_.empty()) return file_traces_[i]->steps();
-  return 0;
 }
 
 void SolverPortfolio::enable_preprocessing(
@@ -385,32 +353,25 @@ void SolverPortfolio::finish_preprocessing(
     }
   }
   const sat::ClauseBatch& simplified = proof ? staged : remapped;
+  Clause step;  // one replayed proof step, reused
   for (std::size_t i = 0; i < solvers_.size(); ++i) {
     sat::Solver& solver = *solvers_[i];
     if (proof) {
       // The trace's axiom set is the *original* formula; the prep steps
       // derive the simplified one, and the members are then fed silently
       // so they do not re-log the simplified clauses as axioms.
-      sat::ProofTracer& trace = *member_tracer(i);
+      sat::FileProofTracer& trace = *file_traces_[i];
       const sat::ClauseBatch& originals = prep_->originals();
-      Clause original;
       for (std::size_t c = 0; c < originals.size(); ++c) {
         const auto lits = originals.clause(c);
-        original.assign(lits.begin(), lits.end());
-        trace.original(original);
+        step.assign(lits.begin(), lits.end());
+        trace.original(step);
       }
-      for (const sat::ProofStep& step : prep_->trace().steps()) {
-        switch (step.kind) {
-          case sat::ProofStepKind::kOriginal:
-            trace.original(step.lits);
-            break;
-          case sat::ProofStepKind::kDerive:
-            trace.derive(step.lits);
-            break;
-          case sat::ProofStepKind::kErase:
-            trace.erase(step.lits);
-            break;
-        }
+      const sat::PreprocessProof& steps = prep_->proof_steps();
+      for (std::size_t c = 0; c < steps.kinds.size(); ++c) {
+        const auto lits = steps.clauses.clause(c);
+        step.assign(lits.begin(), lits.end());
+        sat::emit_step(trace, steps.kinds[c], step);
       }
       solver.set_proof(nullptr);
     }
@@ -427,8 +388,8 @@ void SolverPortfolio::finish_preprocessing(
       // A member that went dead during the silent feed derived UNSAT by
       // root unit propagation over the live set, so the empty clause is
       // RUP here; prep-detected contradictions already closed the trace.
-      sat::ProofTracer& trace = *member_tracer(i);
-      if (!ok && !member_trace_closed(i)) trace.derive({});
+      sat::FileProofTracer& trace = *file_traces_[i];
+      if (!ok && !trace.closed()) trace.derive({});
       solver.set_proof(&trace);
     }
     if (!ok) proven_unsat_ = true;
@@ -541,7 +502,7 @@ SolveOutcome SolverPortfolio::solve(const std::vector<Lit>& assumptions) {
       prep_->extend_model(ext_model_);
     }
     if (proof_enabled()) {
-      outcome.proof_steps = member_trace_steps(winner_index);
+      outcome.proof_steps = file_traces_[winner_index]->steps();
       if (outcome.result == Result::kSat) {
         // With preprocessing the member check covers the simplified
         // formula plus post-prep clauses; the preprocessor check replays

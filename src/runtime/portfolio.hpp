@@ -56,8 +56,8 @@ struct SolveOutcome {
   /// Conflicts spent across all members on this call (total work).
   std::uint64_t total_conflicts = 0;
   double seconds = 0.0;
-  /// Size of the winner's proof trace after this call (0 unless proof
-  /// logging is enabled via SolverPortfolio::enable_proof).
+  /// Steps in the winner's streamed proof trace after this call (0 unless
+  /// proof logging is enabled via SolverPortfolio::enable_proof).
   std::uint64_t proof_steps = 0;
   /// Model self-check verdict for a kSat result when proof logging is on:
   /// 1 = model replays against every problem clause, 0 = it does not
@@ -100,25 +100,18 @@ class SolverPortfolio : public sat::ClauseSink {
   }
 
   /// Turns on per-member DRAT proof logging plus the post-SAT model
-  /// self-check. Call before the first add_clause so every member's trace
-  /// carries the complete axiom stream (each member records originals as
+  /// self-check. Each member streams its trace into
+  /// `stem + ".m<i>.drat.tmp"` through a sat::FileProofTracer, so no
+  /// member ever buffers its proof in memory; each records originals as
   /// the mirrored add_clause reaches it, and its own private learned
-  /// clauses; the winner's trace is therefore self-contained). Idempotent.
-  void enable_proof();
-  /// File-backed variant of enable_proof(): each member streams its trace
-  /// into `stem + ".m<i>.drat.tmp"` through a sat::FileProofTracer, so no
-  /// member ever buffers its proof in memory. promote_winner_trace()
-  /// seals the winning member's file and atomically renames it to the
-  /// requested path (after a decisive UNSAT the published trace is a
-  /// closed refutation; earlier it is an open certificate -- see
-  /// sat::check_derivations_file); the losers' temps are unlinked.
-  /// Mutually exclusive with enable_proof(); call before the first
-  /// add_clause. Idempotent.
-  void enable_proof_files(const std::string& stem);
-  bool proof_enabled() const {
-    return !traces_.empty() || !file_traces_.empty();
-  }
-  bool proof_files_enabled() const { return !file_traces_.empty(); }
+  /// clauses, so the winner's trace is self-contained.
+  /// promote_winner_trace() seals the winning member's file and
+  /// atomically renames it to the requested path (after a decisive UNSAT
+  /// the published trace is a closed refutation; earlier it is an open
+  /// certificate -- see sat::check_derivations_file); the losers' temps
+  /// are unlinked. Call before the first add_clause. Idempotent.
+  void enable_proof(const std::string& stem);
+  bool proof_enabled() const { return !file_traces_.empty(); }
 
   /// Turns on SatELite-style preprocessing (sat/preprocessor.hpp). Must be
   /// called before the first new_var/add_clause. Variables and clauses are
@@ -130,13 +123,12 @@ class SolverPortfolio : public sat::ClauseSink {
   /// be frozen before that first solve, or those calls throw
   /// std::logic_error when they hit an eliminated variable.
   ///
-  /// Composes with enable_proof() and enable_proof_files(): the
-  /// preprocessor's elimination and strengthening steps are replayed into
-  /// each member's proof sink, in-memory or streamed (originals first, so
-  /// the axiom set stays the unsimplified formula), variable
-  /// numbering stays identity, and the simplified clauses are fed with
-  /// member-side logging detached -- the resulting traces still pass
-  /// sat::check_refutation. Models are reconstructed against the original
+  /// Composes with enable_proof(): the preprocessor's elimination and
+  /// strengthening steps are replayed into each member's streamed trace
+  /// (originals first, so the axiom set stays the unsimplified formula),
+  /// variable numbering stays identity, and the simplified clauses are fed
+  /// with member-side logging detached -- the resulting traces still pass
+  /// sat::check_refutation_file. Models are reconstructed against the original
   /// formula via Preprocessor::extend_model before the self-check runs.
   void enable_preprocessing(
       const sat::PreprocessConfig& config = sat::PreprocessConfig{});
@@ -166,19 +158,14 @@ class SolverPortfolio : public sat::ClauseSink {
   /// Sum of the members' inprocessing counters (every member inprocesses
   /// its own clause database, not just the winner).
   sat::InprocessStats inprocess_stats_total() const;
-  /// The decisive member's trace after solve() (nullptr when proof
-  /// logging is off or file-backed). For an UNSAT verdict with no
-  /// assumptions the trace is a closed refutation checkable by
-  /// sat::check_refutation.
-  const sat::DratTrace* winner_trace() const;
-  /// The decisive member's on-disk tracer (nullptr unless
-  /// enable_proof_files was used).
+  /// The decisive member's on-disk tracer after solve() (nullptr when
+  /// proof logging is off or the trace was already promoted).
   const sat::FileProofTracer* winner_file_trace() const;
   /// Seals the winning member's streamed trace and publishes it under
   /// `path` (atomic rename); the losing members' temp files are removed
   /// and proof logging detaches, so later solves on this portfolio are
   /// uncertified. Returns the published trace's size in bytes. Throws
-  /// std::logic_error outside file mode.
+  /// std::logic_error when proof logging is off.
   std::uint64_t promote_winner_trace(const std::string& path);
 
   /// Races the members under the current limits. First decisive member
@@ -204,13 +191,8 @@ class SolverPortfolio : public sat::ClauseSink {
   void finish_preprocessing(const std::vector<sat::Lit>& assumptions);
   /// Throws if a literal of `lits` lost its variable to elimination.
   void check_not_eliminated(std::span<const sat::Lit> lits) const;
-  /// Member i's proof sink in either mode (nullptr when logging is off).
-  sat::ProofTracer* member_tracer(std::size_t i);
-  bool member_trace_closed(std::size_t i) const;
-  std::uint64_t member_trace_steps(std::size_t i) const;
 
   std::vector<std::unique_ptr<sat::Solver>> solvers_;
-  std::vector<std::unique_ptr<sat::DratTrace>> traces_;
   std::vector<std::unique_ptr<sat::FileProofTracer>> file_traces_;
   std::vector<std::string> names_;
   sat::SolverLimits limits_;

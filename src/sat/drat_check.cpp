@@ -59,8 +59,8 @@ class Checker {
   const std::string& error() const { return error_; }
 
   /// Packages the verdict. `require_refutation` demands empty-clause
-  /// closure (check_refutation); without it any fully-checked trace is
-  /// valid (check_derivations).
+  /// closure (check_refutation_file); without it any fully-checked trace is
+  /// valid (check_derivations_file).
   DratCheckResult finish(bool require_refutation) const {
     DratCheckResult out;
     out.stats = stats_;
@@ -391,36 +391,13 @@ class Checker {
   DratCheckStats stats_;
 };
 
-DratCheckResult run_in_memory(const DratTrace& trace,
-                              bool require_refutation) {
-  Checker checker;
-  for (const ProofStep& step : trace.steps()) {
-    if (checker.refuted()) break;
-    if (!checker.step(step)) break;
-  }
-  return checker.finish(require_refutation);
-}
-
-}  // namespace
-
-DratCheckResult check_refutation(const DratTrace& trace) {
-  return run_in_memory(trace, /*require_refutation=*/true);
-}
-
-DratCheckResult check_derivations(const DratTrace& trace) {
-  return run_in_memory(trace, /*require_refutation=*/false);
-}
-
-namespace {
-
 DratCheckResult run_on_file(const std::string& path, bool require_refutation) {
   Checker checker;
   try {
     TraceReader reader(path);
     ProofStep step;
     // Once the empty clause checks, the certificate is complete and the
-    // remaining steps need no semantic checking (matching the in-memory
-    // checker) -- but the file must still frame correctly end to end, so
+    // remaining steps need no semantic checking -- but the file must still frame correctly end to end, so
     // drain the reader: a torn tail, tampered end marker, or wrong
     // declared step count is rejected even when the refutation checked.
     bool steps_ok = true;

@@ -1,6 +1,6 @@
 // Independent forward RUP checker for DRAT proof traces.
 //
-// check_refutation replays a proof trace in order, maintaining its own
+// check_refutation_file replays a proof trace in order, maintaining its own
 // clause database, two-watched-literal scheme, and unit propagation --
 // sharing no code with the Solver, which is the point: a soundness bug in
 // the solver's watch repair, GC remapping, or assumption handling cannot
@@ -32,16 +32,15 @@
 // propagations and ignored_deletions included -- is bit-identical to it
 // on every trace (pinned by the DratCheckPins tests).
 //
-// Three entry points share one checking core:
-//  * check_refutation(trace)      -- in-memory trace, requires closure;
-//  * check_refutation_file(path)  -- streaming single pass over an
-//    on-disk trace (binary or text) via TraceReader, bounded memory for
-//    the steps themselves (the live clause database still grows with the
-//    formula, exactly like the in-memory path);
-//  * check_derivations(trace)     -- verifies every step without
-//    requiring the empty clause, which is what an assumption-UNSAT
-//    certificate looks like: it closes with the failed-assumption core,
-//    not with the empty clause.
+// Two entry points share one checking core, each a single streaming pass
+// over an on-disk trace (binary or text) via TraceReader, so the steps are
+// never held in memory (the live clause database still grows with the
+// formula):
+//  * check_refutation_file(path)  -- requires the empty clause;
+//  * check_derivations_file(path) -- verifies every step without
+//    requiring the empty clause, which is what an open certificate looks
+//    like: a capped attack's trace, or an assumption-UNSAT solve that
+//    closes with the failed-assumption core.
 #pragma once
 
 #include <cstddef>
@@ -71,23 +70,15 @@ struct DratCheckResult {
   DratCheckStats stats;
 };
 
-/// Verifies that `trace` is a refutation of its own 'o'-line axioms.
-DratCheckResult check_refutation(const DratTrace& trace);
-
-/// Streaming variant: reads the trace from disk one step at a time and
-/// never materializes it. Parse failures (missing file, truncated or
-/// garbage trace) come back with `malformed == true`.
+/// Verifies that the trace at `path` is a refutation of its own 'o'-line
+/// axioms, reading it one step at a time. Parse failures (missing file,
+/// truncated or garbage trace) come back with `malformed == true`.
 DratCheckResult check_refutation_file(const std::string& path);
 
-/// Verifies every derivation step of `trace` without requiring the empty
-/// clause -- the acceptance test for open certificates such as the
-/// failed-assumption cores emitted on assumption-UNSAT solves.
-DratCheckResult check_derivations(const DratTrace& trace);
-
-/// Streaming variant of check_derivations: single pass over an on-disk
-/// trace, accepting open certificates (every step checks, no refutation
-/// required). The streamed trace a SAT attack publishes when it stops
-/// before miter-UNSAT (timeout, iteration cap) is validated with this.
+/// Verifies every derivation step of the trace at `path` without
+/// requiring the empty clause -- the acceptance test for open
+/// certificates. The trace a SAT attack publishes when it stops before
+/// miter-UNSAT (timeout, iteration cap) is validated with this.
 DratCheckResult check_derivations_file(const std::string& path);
 
 }  // namespace ril::sat

@@ -82,19 +82,18 @@ void Preprocessor::freeze(const std::vector<Var>& vars) {
 
 void Preprocessor::set_contradiction() {
   contradiction_ = true;
-  if (proof_enabled_ && !trace_.closed()) trace_.derive({});
+  if (!proof_.closed) record_step(ProofStepKind::kDerive, {});
 }
 
-void Preprocessor::trace_derive(std::span<const Lit> lits) {
+void Preprocessor::record_step(ProofStepKind kind,
+                               std::span<const Lit> lits) {
   if (!proof_enabled_) return;
-  step_.assign(lits.begin(), lits.end());
-  trace_.derive(step_);
-}
-
-void Preprocessor::trace_erase(std::span<const Lit> lits) {
-  if (!proof_enabled_) return;
-  step_.assign(lits.begin(), lits.end());
-  trace_.erase(step_);
+  proof_.clauses.lits.insert(proof_.clauses.lits.end(), lits.begin(),
+                             lits.end());
+  proof_.clauses.seal();
+  proof_.kinds.push_back(kind);
+  proof_.closed = proof_.closed ||
+                  (kind == ProofStepKind::kDerive && lits.empty());
 }
 
 bool Preprocessor::add_clause(Clause lits) { return stage_clause(lits); }
@@ -288,7 +287,7 @@ bool Preprocessor::process_subsumption(std::uint32_t idx) {
       if ((c_sig & ~d.sig) != 0) continue;
       if (!subset_except(c, lits(d_idx), kLitUndef)) continue;
       detach(list, i);
-      trace_erase(lits(d_idx));
+      record_step(ProofStepKind::kErase, lits(d_idx));
       delete_entry(d_idx);
       ++stats_.subsumed_clauses;
       changed = true;
@@ -321,8 +320,8 @@ bool Preprocessor::process_subsumption(std::uint32_t idx) {
         for (const Lit dl : lits(d_idx)) {
           if (dl != ~l) strengthened_.push_back(dl);
         }
-        trace_derive(strengthened_);
-        trace_erase(lits(d_idx));
+        record_step(ProofStepKind::kDerive, strengthened_);
+        record_step(ProofStepKind::kErase, lits(d_idx));
         delete_entry(d_idx);
         ++stats_.strengthened_literals;
         changed = true;
@@ -437,7 +436,7 @@ bool Preprocessor::try_eliminate(Var v) {
     }
   }
   for (std::size_t i = 0; i < resolvents_.size(); ++i) {
-    trace_derive(resolvents_.clause(i));
+    record_step(ProofStepKind::kDerive, resolvents_.clause(i));
   }
   parents_.clear();
   for (const Occ p : pos) parents_.push_back(p.idx);
@@ -449,7 +448,7 @@ bool Preprocessor::try_eliminate(Var v) {
     elim_clauses_.seal();
   }
   for (const std::uint32_t idx : parents_) {
-    trace_erase(lits(idx));
+    record_step(ProofStepKind::kErase, lits(idx));
     delete_entry(idx);
   }
   elim_stack_.push_back(
@@ -513,7 +512,9 @@ void Preprocessor::run() {
   }
   stats_.tuned_occurrence_limit = occ_limit_;
 
-  if (contradiction_ && proof_enabled_ && !trace_.closed()) trace_.derive({});
+  if (contradiction_ && !proof_.closed) {
+    record_step(ProofStepKind::kDerive, {});
+  }
   stats_.vars_after = stats_.vars_before - stats_.eliminated_vars;
   simplified_.lits.reserve(live_literals_);
   for (std::uint32_t idx = 0; idx < entries_.size(); ++idx) {

@@ -36,17 +36,18 @@
 // between rounds, only gates a size check that never clears the flag.)
 //
 // Proof compatibility (certification must survive preprocessing): with
-// enable_proof() on, every transformation is recorded as DRAT steps in
-// trace(). All additions are RUP with respect to the live clause set at
-// their position -- a resolvent of C \/ v and D \/ ~v follows by assuming
-// its negation and propagating v through C; a strengthened clause follows
-// the same way from its self-subsumption partner -- and deletions are
-// emitted only after the additions that supersede them, so a forward
-// checker (sat/drat_check.hpp) accepts the stream. The portfolio replays
-// originals() then trace() into each member's proof sink (an in-memory
-// DratTrace or a streaming FileProofTracer) before feeding the simplified
-// clauses with proof logging detached, keeping the trace's axiom ('o')
-// set exactly the original formula.
+// enable_proof() on, every transformation is recorded as a DRAT step in
+// proof_steps(), flat like the originals: one ClauseBatch of step clauses
+// plus one ProofStepKind per step. All additions are RUP with respect to
+// the live clause set at their position -- a resolvent of C \/ v and
+// D \/ ~v follows by assuming its negation and propagating v through C; a
+// strengthened clause follows the same way from its self-subsumption
+// partner -- and deletions are emitted only after the additions that
+// supersede them, so a forward checker (sat/drat_check.hpp) accepts the
+// stream. The portfolio replays originals() then proof_steps() into each
+// member's FileProofTracer before feeding the simplified clauses with
+// proof logging detached, keeping the trace's axiom ('o') set exactly the
+// original formula.
 #pragma once
 
 #include <cstddef>
@@ -85,6 +86,15 @@ struct PreprocessConfig {
   /// the base when progress stalls. Deterministic -- driven only by the
   /// staged formula.
   bool self_tuning = true;
+};
+
+/// DRAT steps recorded by Preprocessor::run(): step i is kinds[i] over
+/// clauses.clause(i).
+struct PreprocessProof {
+  ClauseBatch clauses;
+  std::vector<ProofStepKind> kinds;
+  /// True once the empty clause has been derived.
+  bool closed = false;
 };
 
 struct PreprocessStats {
@@ -152,7 +162,7 @@ class Preprocessor final : public ClauseSink {
   /// DRAT steps recorded by run() ('a' resolvents/strengthenings before
   /// the 'd' lines of the clauses they supersede). Empty unless
   /// enable_proof() was called before run().
-  const DratTrace& trace() const { return trace_; }
+  const PreprocessProof& proof_steps() const { return proof_; }
 
   /// Completes a model of the simplified formula (indexed by the
   /// preprocessor's variable numbering, kUndef allowed for eliminated
@@ -242,8 +252,7 @@ class Preprocessor final : public ClauseSink {
   /// Marks every variable of `lits` for another elimination attempt.
   void touch(std::span<const Lit> lits);
   /// Records a DRAT step for `lits` (no-op unless proof logging is on).
-  void trace_derive(std::span<const Lit> lits);
-  void trace_erase(std::span<const Lit> lits);
+  void record_step(ProofStepKind kind, std::span<const Lit> lits);
 
   bool subsume_round();
   bool process_subsumption(std::uint32_t idx);
@@ -270,7 +279,7 @@ class Preprocessor final : public ClauseSink {
   ClauseBatch originals_;
   ClauseBatch simplified_;
   std::vector<std::uint32_t> queue_;  // entries pending subsumption checks
-  DratTrace trace_;
+  PreprocessProof proof_;
   bool proof_enabled_ = false;
   bool contradiction_ = false;
   bool ran_ = false;
@@ -284,7 +293,6 @@ class Preprocessor final : public ClauseSink {
   std::vector<std::uint32_t> parents_;  // committed elimination's parents
   std::vector<Candidate> order_;         // eliminate_round's try order
   std::vector<Candidate> order_scratch_;
-  Clause step_;                  // DRAT step handed to trace_
 };
 
 }  // namespace ril::sat

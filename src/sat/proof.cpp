@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,15 +17,6 @@ namespace {
 constexpr unsigned char kBinaryMagic[6] = {kBinaryTraceMagic0, 'D', 'R',
                                            'A',               'T', 0x01};
 constexpr char kEndTag = 'e';
-
-char step_tag(ProofStepKind kind) {
-  switch (kind) {
-    case ProofStepKind::kOriginal: return 'o';
-    case ProofStepKind::kDerive: return 'a';
-    case ProofStepKind::kErase: return 'd';
-  }
-  return '?';
-}
 
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
   throw std::runtime_error("proof trace line " + std::to_string(line_no) +
@@ -46,57 +35,6 @@ void append_varint(std::vector<char>& out, std::uint64_t value) {
   }
   out.push_back(static_cast<char>(value));
 }
-
-// Shared by FileProofTracer and write_trace_file: all bytes go to
-// `path + ".tmp"`; commit() fsyncs and renames so the final name only
-// ever holds a complete trace.
-class AtomicFile {
- public:
-  explicit AtomicFile(const std::string& final_path)
-      : temp_path_(final_path + ".tmp") {
-    fd_ = ::open(temp_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd_ < 0) sys_fail("cannot create", temp_path_);
-  }
-  ~AtomicFile() { abort_file(); }
-
-  int fd() const { return fd_; }
-  const std::string& temp_path() const { return temp_path_; }
-
-  void write(const char* data, std::size_t n) {
-    while (n > 0) {
-      const ssize_t w = ::write(fd_, data, n);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        sys_fail("write failed on", temp_path_);
-      }
-      data += w;
-      n -= static_cast<std::size_t>(w);
-    }
-  }
-
-  void commit(const std::string& final_path) {
-    if (fd_ < 0) return;
-    if (::fsync(fd_) != 0) sys_fail("fsync failed on", temp_path_);
-    if (::close(fd_) != 0) {
-      fd_ = -1;
-      sys_fail("close failed on", temp_path_);
-    }
-    fd_ = -1;
-    if (::rename(temp_path_.c_str(), final_path.c_str()) != 0)
-      sys_fail("rename failed for", final_path);
-  }
-
-  void abort_file() {
-    if (fd_ < 0) return;
-    ::close(fd_);
-    fd_ = -1;
-    ::unlink(temp_path_.c_str());
-  }
-
- private:
-  std::string temp_path_;
-  int fd_ = -1;
-};
 
 }  // namespace
 
@@ -185,35 +123,7 @@ void FileProofTracer::abandon() {
   ::unlink(temp_path_.c_str());
 }
 
-// --- text serialization ----------------------------------------------------
-
-void write_trace(std::ostream& out, const DratTrace& trace) {
-  for (const ProofStep& step : trace.steps()) {
-    out << step_tag(step.kind);
-    for (Lit l : step.lits) {
-      const long long dimacs =
-          (l.sign() ? -1ll : 1ll) * (static_cast<long long>(l.var()) + 1);
-      out << ' ' << dimacs;
-    }
-    out << " 0\n";
-  }
-}
-
-std::string write_trace_string(const DratTrace& trace) {
-  std::ostringstream out;
-  write_trace(out, trace);
-  return out.str();
-}
-
-void write_trace_file(const std::string& path, const DratTrace& trace) {
-  std::ostringstream body;
-  write_trace(body, trace);
-  body << "c end " << trace.size() << "\n";
-  const std::string text = body.str();
-  AtomicFile file(path);
-  file.write(text.data(), text.size());
-  file.commit(path);
-}
+// --- text parsing ------------------------------------------------------------
 
 namespace {
 
@@ -265,58 +175,6 @@ TextLine parse_text_line(const std::string& line, std::size_t line_no,
 }
 
 }  // namespace
-
-DratTrace read_trace(std::istream& in) {
-  DratTrace trace;
-  std::string line;
-  std::size_t line_no = 0;
-  bool end_seen = false;
-  std::uint64_t end_count = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    ProofStep step;
-    switch (parse_text_line(line, line_no, step, end_count)) {
-      case TextLine::kBlank:
-      case TextLine::kComment:
-        continue;
-      case TextLine::kEnd:
-        if (end_seen) fail(line_no, "duplicate end marker");
-        end_seen = true;
-        continue;
-      case TextLine::kStep:
-        if (end_seen) fail(line_no, "step after end marker");
-        switch (step.kind) {
-          case ProofStepKind::kOriginal: trace.original(step.lits); break;
-          case ProofStepKind::kDerive: trace.derive(step.lits); break;
-          case ProofStepKind::kErase: trace.erase(step.lits); break;
-        }
-        continue;
-    }
-  }
-  if (end_seen && end_count != trace.size())
-    fail(line_no, "end marker declares " + std::to_string(end_count) +
-                      " steps but trace has " + std::to_string(trace.size()));
-  return trace;
-}
-
-DratTrace read_trace_string(const std::string& text) {
-  std::istringstream in(text);
-  return read_trace(in);
-}
-
-DratTrace read_trace_file(const std::string& path) {
-  TraceReader reader(path);
-  DratTrace trace;
-  ProofStep step;
-  while (reader.next(step)) {
-    switch (step.kind) {
-      case ProofStepKind::kOriginal: trace.original(step.lits); break;
-      case ProofStepKind::kDerive: trace.derive(step.lits); break;
-      case ProofStepKind::kErase: trace.erase(step.lits); break;
-    }
-  }
-  return trace;
-}
 
 // --- TraceReader -----------------------------------------------------------
 

@@ -17,12 +17,12 @@
 // whose last derivation is the empty clause is a closed refutation: a
 // machine-checkable certificate that the logged axioms are UNSAT.
 //
-// Two sinks are provided: DratTrace buffers the stream in memory (small
-// formulas, tests), and FileProofTracer streams it to disk in a compact
-// binary encoding with bounded buffering, so certified solves on
-// million-gate miters never hold the proof in RAM. TraceReader replays
-// either on-disk format (binary or text) step by step, which is what the
-// streaming checker in drat_check.hpp consumes.
+// Every certificate goes to disk: FileProofTracer streams the events in a
+// compact binary encoding with bounded buffering, so certified solves on
+// million-gate miters never hold the proof in RAM, and TraceReader
+// replays an on-disk trace (binary, or hand-written text) step by step
+// for the checker in drat_check.hpp. DratTrace is a plain in-memory
+// recorder of the same events, for tests that inspect the solver's steps.
 //
 // The solver holds a plain `ProofTracer*` that is nullptr by default; all
 // emission sites are off the propagation hot path, so disabled tracing
@@ -55,12 +55,23 @@ enum class ProofStepKind : std::uint8_t {
   kErase,     ///< deletion ('d' line)
 };
 
+/// Emits one step of kind `kind` into `sink`.
+inline void emit_step(ProofTracer& sink, ProofStepKind kind,
+                      const Clause& lits) {
+  switch (kind) {
+    case ProofStepKind::kOriginal: sink.original(lits); break;
+    case ProofStepKind::kDerive: sink.derive(lits); break;
+    case ProofStepKind::kErase: sink.erase(lits); break;
+  }
+}
+
 struct ProofStep {
   ProofStepKind kind;
   Clause lits;
 };
 
-/// In-memory proof trace: records the event stream verbatim.
+/// In-memory recorder: keeps the event stream verbatim (tests only; a
+/// certificate is always streamed through FileProofTracer).
 class DratTrace final : public ProofTracer {
  public:
   void original(const Clause& lits) override {
@@ -78,7 +89,7 @@ class DratTrace final : public ProofTracer {
   std::size_t size() const { return steps_.size(); }
   bool empty() const { return steps_.empty(); }
   /// True once the empty clause has been derived: the trace is a complete
-  /// refutation candidate (checkable end-to-end by drat_check).
+  /// refutation candidate.
   bool closed() const { return closed_; }
   void clear() {
     steps_.clear();
@@ -193,32 +204,16 @@ class TraceReader {
   std::size_t line_no_ = 0;
 };
 
-// --- text serialization ----------------------------------------------------
+// --- text format (read only) ------------------------------------------------
 // One step per line, DIMACS literal numbering (var 0 <-> 1, negation <-> -):
 //   o <lits> 0     original clause
 //   a <lits> 0     derived (claimed-RUP) clause
 //   d <lits> 0     deletion
 // Lines starting with 'c' are comments. This is standard DRAT extended
 // with 'o' lines so an incremental trace carries its own axiom stream.
-// Files written by write_trace_file additionally end with a
-// "c end <step-count>" marker so readers can reject truncated traces.
-
-void write_trace(std::ostream& out, const DratTrace& trace);
-std::string write_trace_string(const DratTrace& trace);
-/// Writes the text form plus end marker to `path + ".tmp"`, fsyncs, and
-/// atomically renames into place -- a crash mid-write never leaves a
-/// partial file under `path`.
-void write_trace_file(const std::string& path, const DratTrace& trace);
-
-/// Parses a trace; throws std::runtime_error with a line number on
-/// malformed input. The stream readers accept traces without an end
-/// marker (in-memory strings cannot be truncated by a crash) but still
-/// validate one when present.
-DratTrace read_trace(std::istream& in);
-DratTrace read_trace_string(const std::string& text);
-/// File reader: rejects truncated traces (missing or mismatched end
-/// marker) and garbage with line-numbered errors. Reads both formats.
-DratTrace read_trace_file(const std::string& path);
+// A text trace must end with a "c end <step-count>" marker so readers can
+// reject truncated files. TraceReader accepts the text form so hand-made
+// or externally produced traces can be checked; nothing here writes it.
 
 // --- binary serialization --------------------------------------------------
 // Layout: 6-byte magic {0x8F,'D','R','A','T',0x01}, then records:

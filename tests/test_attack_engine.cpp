@@ -370,7 +370,6 @@ TEST(AttackEngine, SatAttackMatchesLegacyBitForBit) {
     // The legacy replica predates the simplification layers; pin them off
     // so the solver streams stay comparable conflict-for-conflict.
     options.preprocess = false;
-    options.preprocess_auto = false;
     options.inprocess = false;
 
     Oracle legacy_oracle(locked.netlist, locked.key);

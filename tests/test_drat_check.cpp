@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 
 #include "attacks/oracle.hpp"
@@ -17,6 +22,7 @@
 #include "core/ril_block.hpp"
 #include "locking/schemes.hpp"
 #include "runtime/portfolio.hpp"
+#include "proof_files.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
 
@@ -24,6 +30,18 @@ namespace ril::sat {
 namespace {
 
 using runtime::SolverPortfolio;
+using test::derivations_via_file;
+using test::read_steps;
+using test::refutation_via_file;
+using test::temp_path;
+
+DratCheckResult refute_text(const std::string& steps) {
+  return test::check_text(steps, check_refutation_file);
+}
+
+DratCheckResult derive_text(const std::string& steps) {
+  return test::check_text(steps, check_derivations_file);
+}
 
 void add_pigeonhole(ClauseSink& sink, int pigeons, int holes) {
   auto var = [&](int p, int h) { return p * holes + h; };
@@ -53,9 +71,11 @@ TEST(ProofTrace, TextRoundTrip) {
   trace.derive({});
   EXPECT_TRUE(trace.closed());
 
-  const std::string text = write_trace_string(trace);
+  const std::string text = test::to_text(trace);
   EXPECT_EQ(text, "o 1 -2 0\na 3 0\nd 1 -2 0\na 0\n");
-  const DratTrace reparsed = read_trace_string(text);
+  const std::string path = test::text_trace_file(text);
+  const DratTrace reparsed = read_steps(path);
+  std::remove(path.c_str());
   ASSERT_EQ(reparsed.size(), trace.size());
   EXPECT_TRUE(reparsed.closed());
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -65,52 +85,58 @@ TEST(ProofTrace, TextRoundTrip) {
 }
 
 TEST(ProofTrace, ParserRejectsMalformedInput) {
-  EXPECT_THROW(read_trace_string("x 1 0\n"), std::runtime_error);
-  EXPECT_THROW(read_trace_string("a 1 2\n"), std::runtime_error);  // no 0
-  EXPECT_THROW(read_trace_string("a 1 0 junk\n"), std::runtime_error);
+  const auto read_text = [](const std::string& steps) {
+    const std::string path = test::text_trace_file(steps);
+    try {
+      const DratTrace trace = read_steps(path);
+      std::remove(path.c_str());
+      return trace;
+    } catch (...) {
+      std::remove(path.c_str());
+      throw;
+    }
+  };
+  EXPECT_THROW(read_text("x 1 0\n"), std::runtime_error);
+  EXPECT_THROW(read_text("a 1 2\n"), std::runtime_error);  // no 0
+  EXPECT_THROW(read_text("a 1 0 junk\n"), std::runtime_error);
   // Comments and blank lines are fine.
-  EXPECT_EQ(read_trace_string("c a comment\n\na 0\n").size(), 1u);
+  EXPECT_EQ(read_text("c a comment\n\na 0\n").size(), 1u);
 }
 
 // --- checker on hand-written traces ---------------------------------------
 
 TEST(DratCheck, AcceptsMinimalRefutation) {
-  const DratTrace trace = read_trace_string("o 1 0\no -1 0\na 0\n");
-  const DratCheckResult result = check_refutation(trace);
+  const DratCheckResult result = refute_text("o 1 0\no -1 0\na 0\n");
   EXPECT_TRUE(result.valid) << result.error;
   EXPECT_EQ(result.stats.originals, 2u);
 }
 
 TEST(DratCheck, AcceptsResolutionChain) {
   // (x1 | x2) (x1 | -x2) (-x1 | x3) (-x1 | -x3) with the derived units.
-  const DratTrace trace = read_trace_string(
-      "o 1 2 0\no 1 -2 0\no -1 3 0\no -1 -3 0\na 1 0\na 0\n");
-  EXPECT_TRUE(check_refutation(trace).valid);
+  EXPECT_TRUE(
+      refute_text("o 1 2 0\no 1 -2 0\no -1 3 0\no -1 -3 0\na 1 0\na 0\n")
+          .valid);
 }
 
 TEST(DratCheck, RejectsOpenTrace) {
-  const DratTrace trace = read_trace_string("o 1 0\no -1 0\n");
-  const DratCheckResult result = check_refutation(trace);
+  const DratCheckResult result = refute_text("o 1 0\no -1 0\n");
   EXPECT_FALSE(result.valid);
   EXPECT_NE(result.error.find("empty clause"), std::string::npos);
 }
 
 TEST(DratCheck, RejectsNonRupDerivation) {
-  const DratTrace trace = read_trace_string("o 1 2 0\na 1 0\na 0\n");
-  const DratCheckResult result = check_refutation(trace);
+  const DratCheckResult result = refute_text("o 1 2 0\na 1 0\na 0\n");
   EXPECT_FALSE(result.valid);
   EXPECT_NE(result.error.find("not RUP"), std::string::npos);
 }
 
 TEST(DratCheck, RejectsUnfoundedEmptyClause) {
-  const DratTrace trace = read_trace_string("o 1 0\na 0\n");
-  EXPECT_FALSE(check_refutation(trace).valid);
+  EXPECT_FALSE(refute_text("o 1 0\na 0\n").valid);
 }
 
 TEST(DratCheck, RejectsDeletionOfUnknownClause) {
-  const DratTrace trace =
-      read_trace_string("o 1 0\no -1 0\nd 2 3 0\na 0\n");
-  const DratCheckResult result = check_refutation(trace);
+  const DratCheckResult result =
+      refute_text("o 1 0\no -1 0\nd 2 3 0\na 0\n");
   EXPECT_FALSE(result.valid);
   EXPECT_NE(result.error.find("deletion"), std::string::npos);
 }
@@ -118,18 +144,13 @@ TEST(DratCheck, RejectsDeletionOfUnknownClause) {
 TEST(DratCheck, DeletionRemovesPropagationPower) {
   // Without the deletion the final unit is RUP; after deleting the clause
   // that provided it, the derivation must be rejected.
-  const DratTrace ok =
-      read_trace_string("o 1 2 0\no -2 0\na 1 0\no -1 0\na 0\n");
-  EXPECT_TRUE(check_refutation(ok).valid);
-  const DratTrace broken =
-      read_trace_string("o 1 2 0\nd 1 2 0\no -2 0\na 1 0\no -1 0\na 0\n");
-  EXPECT_FALSE(check_refutation(broken).valid);
+  EXPECT_TRUE(refute_text("o 1 2 0\no -2 0\na 1 0\no -1 0\na 0\n").valid);
+  EXPECT_FALSE(
+      refute_text("o 1 2 0\nd 1 2 0\no -2 0\na 1 0\no -1 0\na 0\n").valid);
 }
 
 TEST(DratCheck, HandlesTautologyAndDuplicateLiterals) {
-  const DratTrace trace = read_trace_string(
-      "o 1 -1 0\no 2 2 0\no -2 0\na 0\n");
-  EXPECT_TRUE(check_refutation(trace).valid);
+  EXPECT_TRUE(refute_text("o 1 -1 0\no 2 2 0\no -2 0\na 0\n").valid);
 }
 
 // (1 2) is the only support of "a 3 0" here: assuming -3 propagates -1 and
@@ -138,20 +159,20 @@ TEST(DratCheck, HandlesTautologyAndDuplicateLiterals) {
 constexpr const char* kNeedsOneTwo = "o -1 3 0\no -2 3 0\n";
 
 TEST(DratCheck, IdenticalClausesFormAMultiset) {
-  const DratCheckResult one_left = check_derivations(read_trace_string(
-      std::string("o 1 2 0\no 1 2 0\n") + kNeedsOneTwo + "d 1 2 0\na 3 0\n"));
+  const DratCheckResult one_left = derive_text(
+      std::string("o 1 2 0\no 1 2 0\n") + kNeedsOneTwo + "d 1 2 0\na 3 0\n");
   EXPECT_TRUE(one_left.valid) << one_left.error;
   EXPECT_EQ(one_left.stats.deletions, 1u);
 
-  const DratCheckResult none_left = check_derivations(
-      read_trace_string(std::string("o 1 2 0\no 1 2 0\n") + kNeedsOneTwo +
-                        "d 1 2 0\nd 2 1 0\na 3 0\n"));
+  const DratCheckResult none_left =
+      derive_text(std::string("o 1 2 0\no 1 2 0\n") + kNeedsOneTwo +
+                  "d 1 2 0\nd 2 1 0\na 3 0\n");
   EXPECT_FALSE(none_left.valid);
   EXPECT_EQ(none_left.error, "step 7: derived clause is not RUP");
   EXPECT_EQ(none_left.stats.deletions, 2u);
 
-  const DratCheckResult third = check_derivations(read_trace_string(
-      "o 1 2 0\no 1 2 0\nd 1 2 0\nd 1 2 0\nd 1 2 0\n"));
+  const DratCheckResult third =
+      derive_text("o 1 2 0\no 1 2 0\nd 1 2 0\nd 1 2 0\nd 1 2 0\n");
   EXPECT_FALSE(third.valid);
   EXPECT_EQ(third.error, "step 5: deletion of a clause not in the database");
   EXPECT_EQ(third.stats.deletions, 2u);
@@ -166,12 +187,11 @@ TEST(DratCheck, DeletionMatchesAnyLiteralOrderAfterWatchMoves) {
   const std::string prefix =
       "o 1 2 3 4 0\no -1 0\no 5 6 0\no 5 -6 0\na 2 5 0\n";
   const std::string suffix = "o -2 0\no -3 0\na 4 0\n";
-  const DratCheckResult kept =
-      check_derivations(read_trace_string(prefix + suffix));
+  const DratCheckResult kept = derive_text(prefix + suffix);
   EXPECT_TRUE(kept.valid) << kept.error;
 
-  const DratCheckResult erased = check_derivations(
-      read_trace_string(prefix + "d 3 1 4 3 2 0\n" + suffix));
+  const DratCheckResult erased =
+      derive_text(prefix + "d 3 1 4 3 2 0\n" + suffix);
   EXPECT_FALSE(erased.valid);
   EXPECT_EQ(erased.error, "step 9: derived clause is not RUP");
   EXPECT_EQ(erased.stats.deletions, 1u);
@@ -182,8 +202,8 @@ TEST(DratCheck, DeletingAUnitAnchorIsIgnoredAndCounted) {
   // -2 forces 1 through (1 2): the clause is the reason for a persistent
   // assignment, so deleting it (twice -- it stays live) and deleting the
   // unit -2 itself are all ignored. (3 4) anchors nothing and goes.
-  const DratCheckResult result = check_derivations(read_trace_string(
-      "o 1 2 0\no -2 0\no 3 4 0\nd 2 1 0\nd 1 2 0\nd -2 0\nd 3 4 0\n"));
+  const DratCheckResult result = derive_text(
+      "o 1 2 0\no -2 0\no 3 4 0\nd 2 1 0\nd 1 2 0\nd -2 0\nd 3 4 0\n");
   EXPECT_TRUE(result.valid) << result.error;
   EXPECT_EQ(result.stats.originals, 3u);
   EXPECT_EQ(result.stats.ignored_deletions, 3u);
@@ -199,7 +219,7 @@ TEST(SolverProof, PigeonholeRefutationChecks) {
   add_pigeonhole(solver, 4, 3);
   ASSERT_EQ(solver.solve(), Result::kUnsat);
   ASSERT_TRUE(trace.closed());
-  const DratCheckResult result = check_refutation(trace);
+  const DratCheckResult result = refutation_via_file(trace);
   EXPECT_TRUE(result.valid) << result.error;
   EXPECT_GT(result.stats.derivations, 0u);
 }
@@ -210,18 +230,18 @@ TEST(SolverProof, SurvivesTextRoundTripAndRejectsMutations) {
   solver.set_proof(&trace);
   add_pigeonhole(solver, 5, 4);
   ASSERT_EQ(solver.solve(), Result::kUnsat);
-  const std::string text = write_trace_string(trace);
-  ASSERT_TRUE(check_refutation(read_trace_string(text)).valid);
+  const std::string text = test::to_text(trace);
+  ASSERT_TRUE(refute_text(text).valid);
 
   // Corruption 1: drop the closing empty clause.
   const std::string open = text.substr(0, text.rfind("a 0\n"));
-  EXPECT_FALSE(check_refutation(read_trace_string(open)).valid);
+  EXPECT_FALSE(refute_text(open).valid);
 
   // Corruption 2: drop an axiom -- some later step loses its support.
   std::string weaker = text;
   const auto first_o = weaker.find("o ");
   weaker.erase(first_o, weaker.find('\n', first_o) - first_o + 1);
-  EXPECT_FALSE(check_refutation(read_trace_string(weaker)).valid);
+  EXPECT_FALSE(refute_text(weaker).valid);
 }
 
 TEST(SolverProof, DbReductionDeletionsStayCheckable) {
@@ -241,7 +261,7 @@ TEST(SolverProof, DbReductionDeletionsStayCheckable) {
     deletions += step.kind == ProofStepKind::kErase;
   }
   EXPECT_GT(deletions, 0u) << "cap never triggered a DB reduction";
-  const DratCheckResult result = check_refutation(trace);
+  const DratCheckResult result = refutation_via_file(trace);
   EXPECT_TRUE(result.valid) << result.error;
 }
 
@@ -261,7 +281,7 @@ TEST(SolverProof, IncrementalSolvesShareOneTrace) {
   }
   ASSERT_EQ(solver.solve(), Result::kUnsat);
   ASSERT_TRUE(trace.closed());
-  const DratCheckResult result = check_refutation(trace);
+  const DratCheckResult result = refutation_via_file(trace);
   EXPECT_TRUE(result.valid) << result.error;
 }
 
@@ -280,9 +300,9 @@ TEST(SolverProof, UnsatUnderAssumptionsEmitsFailedAssumptionCore) {
             Result::kUnsat);
   // Still no empty clause -- the formula itself is satisfiable.
   EXPECT_FALSE(trace.closed());
-  EXPECT_FALSE(check_refutation(trace).valid);
+  EXPECT_FALSE(refutation_via_file(trace).valid);
   // But the trace is a valid open certificate ending in the core.
-  const DratCheckResult derivations = check_derivations(trace);
+  const DratCheckResult derivations = derivations_via_file(trace);
   EXPECT_TRUE(derivations.valid) << derivations.error;
   ASSERT_FALSE(trace.steps().empty());
   const ProofStep& last = trace.steps().back();
@@ -308,7 +328,7 @@ TEST(SolverProof, FalsifiedAssumptionEmitsUnitCore) {
   solver.add_clause({Lit::make(0)});
   ASSERT_EQ(solver.solve({Lit::make(0, true)}), Result::kUnsat);
   EXPECT_FALSE(trace.closed());
-  const DratCheckResult derivations = check_derivations(trace);
+  const DratCheckResult derivations = derivations_via_file(trace);
   EXPECT_TRUE(derivations.valid) << derivations.error;
   ASSERT_FALSE(trace.steps().empty());
   EXPECT_EQ(trace.steps().back().kind, ProofStepKind::kDerive);
@@ -325,7 +345,7 @@ TEST(SolverProof, RootConflictFromAddClauseIsCertified) {
   EXPECT_FALSE(solver.add_clause({Lit::make(0, true)}));
   EXPECT_FALSE(solver.okay());
   ASSERT_TRUE(trace.closed());
-  EXPECT_TRUE(check_refutation(trace).valid);
+  EXPECT_TRUE(refutation_via_file(trace).valid);
 }
 
 TEST(SolverProof, VerifyModelCoversAssumptions) {
@@ -370,13 +390,22 @@ DratTrace reduced_pigeonhole_trace() {
   return trace;
 }
 
+/// Reads the trace published at `path` and removes the file.
+DratTrace take_steps(const std::string& path) {
+  DratTrace trace = read_steps(path);
+  std::remove(path.c_str());
+  return trace;
+}
+
 DratTrace preprocessed_pigeonhole_trace() {
+  const std::string path = temp_path("pins_prep.drat");
   SolverPortfolio portfolio(1, 5);
-  portfolio.enable_proof();
+  portfolio.enable_proof(path);
   portfolio.enable_preprocessing();
   add_pigeonhole(portfolio, 7, 6);
   EXPECT_EQ(portfolio.solve().result, Result::kUnsat);
-  return portfolio.winner_trace() ? *portfolio.winner_trace() : DratTrace{};
+  portfolio.promote_winner_trace(path);
+  return take_steps(path);
 }
 
 DratTrace inprocessed_pigeonhole_trace() {
@@ -413,10 +442,11 @@ DratTrace attack_trace() {
   attacks::Oracle oracle(ril.locked.netlist, ril.locked.key);
   attacks::SatAttackOptions options;
   options.certify = true;
+  options.proof_file = temp_path("pins_attack.drat");
   const auto result =
       attacks::run_sat_attack(ril.locked.netlist, oracle, options);
   EXPECT_EQ(result.status, attacks::SatAttackStatus::kKeyFound);
-  return result.proof_trace ? *result.proof_trace : DratTrace{};
+  return take_steps(options.proof_file);
 }
 
 std::vector<PinnedTrace> pinned_traces() {
@@ -452,16 +482,15 @@ TEST(DratCheckPins, SolverTracesReportPinnedStats) {
     DratCheckResult want;
     want.valid = true;
     want.stats = pin.stats;
-    expect_same_result(check_refutation(pin.trace), want, pin.name);
-    expect_same_result(check_derivations(pin.trace), want, pin.name);
+    expect_same_result(refutation_via_file(pin.trace), want, pin.name);
+    expect_same_result(derivations_via_file(pin.trace), want, pin.name);
   }
 }
 
-TEST(DratCheckPins, InMemoryAndFileEntryPointsAgree) {
-  // The same trace checked in memory, from its binary file
-  // (FileProofTracer) and from its text file (write_trace_file) must give
-  // equal results -- verdict, error string and every stat -- for valid,
-  // open and failing traces alike.
+TEST(DratCheckPins, BinaryAndTextFileEntryPointsAgree) {
+  // The same trace checked from its binary file (FileProofTracer) and from
+  // its text file must give equal results -- verdict, error string and
+  // every stat -- for valid, open and failing traces alike.
   std::vector<std::pair<std::string, DratTrace>> traces;
   for (PinnedTrace& pin : pinned_traces()) {
     traces.emplace_back(pin.name, std::move(pin.trace));
@@ -491,75 +520,62 @@ TEST(DratCheckPins, InMemoryAndFileEntryPointsAgree) {
         dropped = true;
         continue;
       }
-      switch (step.kind) {
-        case ProofStepKind::kOriginal: broken.original(step.lits); break;
-        case ProofStepKind::kDerive: broken.derive(step.lits); break;
-        case ProofStepKind::kErase: broken.erase(step.lits); break;
-      }
+      emit_step(broken, step.kind, step.lits);
     }
     traces.emplace_back("broken", std::move(broken));
   }
 
-  const std::string binary_path = "drat_check_agree.drat";
-  const std::string text_path = "drat_check_agree.txt";
+  const std::string binary_path = temp_path("agree.drat");
   for (const auto& [name, trace] : traces) {
-    {
-      FileProofTracer tracer(binary_path);
-      for (const ProofStep& step : trace.steps()) {
-        switch (step.kind) {
-          case ProofStepKind::kOriginal: tracer.original(step.lits); break;
-          case ProofStepKind::kDerive: tracer.derive(step.lits); break;
-          case ProofStepKind::kErase: tracer.erase(step.lits); break;
-        }
-      }
-      tracer.finalize();
-    }
-    write_trace_file(text_path, trace);
+    test::write_binary(binary_path, trace);
+    const std::string text_path = test::text_trace_file(test::to_text(trace));
 
-    const DratCheckResult refutation = check_refutation(trace);
-    const DratCheckResult derivations = check_derivations(trace);
-    expect_same_result(check_refutation_file(binary_path), refutation,
-                       name + " binary refutation");
+    const DratCheckResult refutation = check_refutation_file(binary_path);
+    const DratCheckResult derivations = check_derivations_file(binary_path);
     expect_same_result(check_refutation_file(text_path), refutation,
                        name + " text refutation");
-    expect_same_result(check_derivations_file(binary_path), derivations,
-                       name + " binary derivations");
     expect_same_result(check_derivations_file(text_path), derivations,
                        name + " text derivations");
+    std::remove(text_path.c_str());
+    EXPECT_FALSE(refutation.malformed) << name;
     if (name == "open") {
       EXPECT_FALSE(refutation.valid);
       EXPECT_TRUE(derivations.valid) << derivations.error;
-    }
-    if (name == "broken") {
+    } else if (name == "broken") {
       EXPECT_FALSE(derivations.valid);
       EXPECT_FALSE(derivations.error.empty());
+    } else {
+      EXPECT_TRUE(refutation.valid) << name << ": " << refutation.error;
     }
   }
   std::remove(binary_path.c_str());
-  std::remove(text_path.c_str());
 }
 
 // --- portfolio certification ----------------------------------------------
 
 TEST(PortfolioProof, WinnerTraceIsACertificate) {
   for (const unsigned jobs : {1u, 3u}) {
+    const std::string path = temp_path("winner.drat");
     SolverPortfolio portfolio(jobs, 7);
-    portfolio.enable_proof();
+    portfolio.enable_proof(path);
     add_pigeonhole(portfolio, 6, 5);
     const runtime::SolveOutcome outcome = portfolio.solve();
     ASSERT_EQ(outcome.result, Result::kUnsat) << jobs << " jobs";
     EXPECT_GT(outcome.proof_steps, 0u);
-    const DratTrace* trace = portfolio.winner_trace();
+    const FileProofTracer* trace = portfolio.winner_file_trace();
     ASSERT_NE(trace, nullptr);
     ASSERT_TRUE(trace->closed());
-    const DratCheckResult result = check_refutation(*trace);
+    EXPECT_EQ(trace->steps(), outcome.proof_steps);
+    portfolio.promote_winner_trace(path);
+    const DratCheckResult result = check_refutation_file(path);
+    std::remove(path.c_str());
     EXPECT_TRUE(result.valid) << jobs << " jobs: " << result.error;
   }
 }
 
 TEST(PortfolioProof, SatModelsSelfCheck) {
   SolverPortfolio portfolio(3, 9);
-  portfolio.enable_proof();
+  portfolio.enable_proof(temp_path("models.drat"));
   add_pigeonhole(portfolio, 5, 5);
   const runtime::SolveOutcome outcome = portfolio.solve();
   ASSERT_EQ(outcome.result, Result::kSat);
@@ -600,28 +616,29 @@ TEST(CertifiedAttack, RilBlockAttackProducesCheckableCertificate) {
   attacks::SatAttackOptions options;
   options.jobs = 2;  // a real portfolio race, as the acceptance bar asks
   options.certify = true;
+  options.proof_file = temp_path("ril_block.drat");
   const auto result =
       attacks::run_sat_attack(ril.locked.netlist, oracle, options);
   ASSERT_EQ(result.status, attacks::SatAttackStatus::kKeyFound);
   EXPECT_TRUE(result.models_verified);
   ASSERT_EQ(result.proof_status, attacks::ProofStatus::kValid);
-  ASSERT_NE(result.proof_trace, nullptr);
-  EXPECT_TRUE(result.proof_trace->closed());
-  EXPECT_EQ(result.proof_steps, result.proof_trace->size());
+  EXPECT_EQ(result.proof_trace, nullptr);
+  ASSERT_EQ(result.proof_path, options.proof_file);
+  const DratTrace certificate = take_steps(result.proof_path);
+  EXPECT_TRUE(certificate.closed());
+  EXPECT_EQ(result.proof_steps, certificate.size());
 
   // The recovered key passes the oracle (functional equivalence).
   EXPECT_TRUE(cnf::check_equivalence(ril.locked.netlist, host, result.key, {})
                   .equivalent());
 
   // A deliberately corrupted trace is rejected: flip one literal in a
-  // random derivation step of the serialized certificate.
-  std::string text = write_trace_string(*result.proof_trace);
-  DratTrace mutated = read_trace_string(text);
-  ASSERT_TRUE(check_refutation(mutated).valid);
+  // random derivation step of the certificate.
+  ASSERT_TRUE(refutation_via_file(certificate).valid);
   std::mt19937 rng(1234);
   std::vector<std::size_t> derivation_steps;
-  for (std::size_t i = 0; i < mutated.steps().size(); ++i) {
-    const ProofStep& step = mutated.steps()[i];
+  for (std::size_t i = 0; i < certificate.steps().size(); ++i) {
+    const ProofStep& step = certificate.steps()[i];
     if (step.kind == ProofStepKind::kDerive && step.lits.size() >= 2) {
       derivation_steps.push_back(i);
     }
@@ -632,32 +649,31 @@ TEST(CertifiedAttack, RilBlockAttackProducesCheckableCertificate) {
     const std::size_t at =
         derivation_steps[rng() % derivation_steps.size()];
     DratTrace corrupt;
-    for (std::size_t i = 0; i < mutated.steps().size(); ++i) {
-      ProofStep step = mutated.steps()[i];
+    for (std::size_t i = 0; i < certificate.steps().size(); ++i) {
+      ProofStep step = certificate.steps()[i];
       if (i == at) {
         const std::size_t victim = rng() % step.lits.size();
         step.lits[victim] = ~step.lits[rng() % step.lits.size()];
       }
-      switch (step.kind) {
-        case ProofStepKind::kOriginal: corrupt.original(step.lits); break;
-        case ProofStepKind::kDerive: corrupt.derive(step.lits); break;
-        case ProofStepKind::kErase: corrupt.erase(step.lits); break;
-      }
+      emit_step(corrupt, step.kind, step.lits);
     }
-    any_rejected = !check_refutation(corrupt).valid;
+    any_rejected = !refutation_via_file(corrupt).valid;
   }
   EXPECT_TRUE(any_rejected)
       << "no corrupted variant of the certificate was rejected";
 }
 
-TEST(CertifiedAttack, CertifyOffByDefaultAndTimeoutReportsMissing) {
+netlist::Netlist small_host() {
   benchgen::RandomDagParams params;
   params.num_inputs = 10;
   params.num_outputs = 5;
   params.num_gates = 80;
   params.seed = 3;
-  const netlist::Netlist host = benchgen::generate_random_dag(params);
-  const auto locked = locking::lock_xor(host, 8, 11);
+  return benchgen::generate_random_dag(params);
+}
+
+TEST(CertifiedAttack, CertifyOffByDefaultAndCappedRunReportsOpen) {
+  const auto locked = locking::lock_xor(small_host(), 8, 11);
   attacks::Oracle oracle(locked.netlist, locked.key);
 
   attacks::SatAttackOptions options;
@@ -665,15 +681,72 @@ TEST(CertifiedAttack, CertifyOffByDefaultAndTimeoutReportsMissing) {
   EXPECT_EQ(plain.proof_status, attacks::ProofStatus::kNotRequested);
   EXPECT_EQ(plain.proof_trace, nullptr);
 
+  // Without a proof_file the certificate is still streamed and checked --
+  // open, since the cap stops the attack before any miter-UNSAT -- but
+  // nothing is published.
   attacks::Oracle oracle2(locked.netlist, locked.key);
   options.certify = true;
-  options.max_iterations = 1;  // stop before any UNSAT can be reached
+  options.max_iterations = 1;
   const auto cut = attacks::run_sat_attack(locked.netlist, oracle2, options);
-  if (cut.status == attacks::SatAttackStatus::kIterationLimit) {
-    // In-memory certification has nothing to publish without miter-UNSAT;
-    // streaming mode would publish an open certificate instead (below).
-    EXPECT_EQ(cut.proof_status, attacks::ProofStatus::kMissing);
+  ASSERT_EQ(cut.status, attacks::SatAttackStatus::kIterationLimit);
+  EXPECT_EQ(cut.proof_status, attacks::ProofStatus::kOpen);
+  EXPECT_GT(cut.proof_steps, 0u);
+  EXPECT_TRUE(cut.proof_path.empty());
+  EXPECT_EQ(cut.proof_bytes, 0u);
+}
+
+/// Points TMPDIR at a fresh directory for the life of the object and
+/// restores the previous value afterwards.
+class ScopedTmpdir {
+ public:
+  ScopedTmpdir() {
+    std::string pattern = temp_path("tmpdir") + "-XXXXXX";
+    EXPECT_NE(::mkdtemp(pattern.data()), nullptr) << pattern;
+    path_ = pattern;
+    if (const char* old = std::getenv("TMPDIR")) old_ = old;
+    ::setenv("TMPDIR", path_.c_str(), 1);
   }
+  ~ScopedTmpdir() {
+    if (old_) {
+      ::setenv("TMPDIR", old_->c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+    std::filesystem::remove_all(path_);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  std::optional<std::string> old_;
+};
+
+TEST(CertifiedAttack, PathlessCertificatesAreCheckedAndLeaveNothing) {
+  const ScopedTmpdir tmpdir;
+  const netlist::Netlist host = small_host();
+  const auto locked = locking::lock_xor(host, 8, 11);
+  attacks::SatAttackOptions options;
+  options.certify = true;
+
+  attacks::Oracle oracle(locked.netlist, locked.key);
+  const auto found = attacks::run_sat_attack(locked.netlist, oracle, options);
+  ASSERT_EQ(found.status, attacks::SatAttackStatus::kKeyFound);
+  EXPECT_EQ(found.proof_status, attacks::ProofStatus::kValid);
+  EXPECT_GT(found.proof_steps, 0u);
+  EXPECT_TRUE(found.proof_path.empty());
+  EXPECT_TRUE(cnf::check_equivalence(locked.netlist, host, found.key, {})
+                  .equivalent());
+
+  attacks::Oracle oracle2(locked.netlist, locked.key);
+  options.max_iterations = 1;
+  const auto capped =
+      attacks::run_sat_attack(locked.netlist, oracle2, options);
+  ASSERT_EQ(capped.status, attacks::SatAttackStatus::kIterationLimit);
+  EXPECT_EQ(capped.proof_status, attacks::ProofStatus::kOpen);
+  EXPECT_TRUE(capped.proof_path.empty());
+
+  EXPECT_TRUE(std::filesystem::is_empty(tmpdir.path()))
+      << tmpdir.path() << " kept a file";
 }
 
 TEST(CertifiedAttack, CappedStreamedAttackPublishesOpenCertificate) {
@@ -683,16 +756,10 @@ TEST(CertifiedAttack, CappedStreamedAttackPublishesOpenCertificate) {
   // the certificate a 238k-gate certified run actually produces (the
   // whole-miter refutation there is beyond the CDCL core), so the small
   // host here stands in for the bench_netlist acceptance stage.
-  benchgen::RandomDagParams params;
-  params.num_inputs = 10;
-  params.num_outputs = 5;
-  params.num_gates = 80;
-  params.seed = 3;
-  const netlist::Netlist host = benchgen::generate_random_dag(params);
-  const auto locked = locking::lock_xor(host, 8, 11);
+  const auto locked = locking::lock_xor(small_host(), 8, 11);
   attacks::Oracle oracle(locked.netlist, locked.key);
 
-  const std::string path = "drat_check_open_cert.drat";
+  const std::string path = temp_path("open_cert.drat");
   attacks::SatAttackOptions options;
   options.certify = true;
   options.proof_file = path;

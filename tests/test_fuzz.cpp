@@ -13,6 +13,7 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/simplify.hpp"
 #include "netlist/simulator.hpp"
+#include "proof_files.hpp"
 #include "runtime/portfolio.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/proof.hpp"
@@ -233,7 +234,7 @@ TEST_P(SolverFuzz, IncrementalVerdictsAreCertified) {
     ASSERT_EQ(final_r == sat::Result::kSat, brute_force_sat(so_far, {}));
     if (final_r == sat::Result::kUnsat) {
       ASSERT_TRUE(trace.closed());
-      const auto check = sat::check_refutation(trace);
+      const auto check = test::refutation_via_file(trace);
       ASSERT_TRUE(check.valid)
           << "seed " << GetParam() << " round " << round << ": "
           << check.error;
@@ -267,7 +268,7 @@ TEST_P(SolverFuzz, ConflictLimitsDoNotCorruptLaterVerdicts) {
         << "seed " << GetParam() << " round " << round;
     if (r == sat::Result::kUnsat) {
       ASSERT_TRUE(trace.closed());
-      ASSERT_TRUE(sat::check_refutation(trace).valid)
+      ASSERT_TRUE(test::refutation_via_file(trace).valid)
           << "seed " << GetParam() << " round " << round;
     } else {
       ASSERT_TRUE(solver.verify_model());
@@ -279,8 +280,9 @@ TEST_P(SolverFuzz, PortfolioVerdictsMatchBruteForceAndCertify) {
   std::mt19937_64 rng(GetParam() * 0x2545f491ull + 7);
   for (int round = 0; round < 6; ++round) {
     const RandomCnf cnf = make_random_cnf(rng, 12);
+    const std::string path = test::temp_path("fuzz_portfolio.drat");
     runtime::SolverPortfolio portfolio(1 + rng() % 3, GetParam() + round);
-    portfolio.enable_proof();
+    portfolio.enable_proof(path);
     for (int v = 0; v < cnf.num_vars; ++v) portfolio.new_var();
     bool dead = false;
     for (const auto& clause : cnf.clauses) {
@@ -290,11 +292,15 @@ TEST_P(SolverFuzz, PortfolioVerdictsMatchBruteForceAndCertify) {
     const bool expected = brute_force_sat(cnf, {});
     if (dead || outcome.result == sat::Result::kUnsat) {
       ASSERT_FALSE(expected) << "seed " << GetParam() << " round " << round;
-      const sat::DratTrace* trace = portfolio.winner_trace();
+      const sat::FileProofTracer* trace = portfolio.winner_file_trace();
       ASSERT_NE(trace, nullptr);
       ASSERT_TRUE(trace->closed());
-      ASSERT_TRUE(sat::check_refutation(*trace).valid)
-          << "seed " << GetParam() << " round " << round;
+      portfolio.promote_winner_trace(path);
+      const auto check = sat::check_refutation_file(path);
+      std::remove(path.c_str());
+      ASSERT_TRUE(check.valid)
+          << "seed " << GetParam() << " round " << round << ": "
+          << check.error;
     } else {
       ASSERT_EQ(outcome.result, sat::Result::kSat);
       ASSERT_TRUE(expected) << "seed " << GetParam() << " round " << round;
@@ -385,7 +391,7 @@ TEST_P(SolverFuzz, InprocessingKeepsIncrementalVerdictsSound) {
         << "seed " << GetParam() << " round " << round;
     if (final_r == sat::Result::kUnsat) {
       ASSERT_TRUE(trace.closed());
-      const auto check = sat::check_refutation(trace);
+      const auto check = test::refutation_via_file(trace);
       ASSERT_TRUE(check.valid)
           << "seed " << GetParam() << " round " << round << ": "
           << check.error;
@@ -412,7 +418,7 @@ TEST(Inprocess, CertifiedUnsatStreamsVivifiedAndProbedDerivations) {
   // and clause (p q r) vivifies to (p q) through the binary (p q). The
   // streamed DRAT trace must carry both derivations and still check as a
   // refutation end to end.
-  const std::string path = "inprocess_certified.drat";
+  const std::string path = test::temp_path("inprocess_certified.drat");
   sat::Solver solver;
   sat::FileProofTracer tracer(path);
   solver.set_proof(&tracer);
@@ -485,6 +491,7 @@ TEST(Inprocess, CertifiedUnsatStreamsVivifiedAndProbedDerivations) {
   }
   EXPECT_TRUE(saw_vivified);
   EXPECT_TRUE(saw_probed);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "cnf/equivalence.hpp"
 #include "core/ril_block.hpp"
 #include "locking/schemes.hpp"
+#include "proof_files.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/solver.hpp"
 
@@ -322,8 +323,9 @@ TEST(Portfolio, InprocessingCertifiedUnsatWithPreprocessing) {
   // formula, inprocessing rewrites the members' clause databases at
   // restarts, and the winner's trace must still be a refutation the
   // forward checker accepts.
+  const std::string path = test::temp_path("portfolio_stack.drat");
   SolverPortfolio portfolio(2, /*base_seed=*/9);
-  portfolio.enable_proof();
+  portfolio.enable_proof(path);
   portfolio.enable_preprocessing();
   sat::InprocessConfig ipc;
   ipc.interval_base = 8;
@@ -335,10 +337,12 @@ TEST(Portfolio, InprocessingCertifiedUnsatWithPreprocessing) {
   const SolveOutcome outcome = portfolio.solve();
   ASSERT_EQ(outcome.result, Result::kUnsat);
   EXPECT_GT(portfolio.inprocess_stats_total().passes, 0u);
-  const sat::DratTrace* trace = portfolio.winner_trace();
+  const sat::FileProofTracer* trace = portfolio.winner_file_trace();
   ASSERT_NE(trace, nullptr);
   EXPECT_TRUE(trace->closed());
-  const sat::DratCheckResult check = sat::check_refutation(*trace);
+  portfolio.promote_winner_trace(path);
+  const sat::DratCheckResult check = sat::check_refutation_file(path);
+  std::remove(path.c_str());
   EXPECT_TRUE(check.valid) << check.error;
 }
 

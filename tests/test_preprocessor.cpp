@@ -15,6 +15,7 @@
 #include "benchgen/suite.hpp"
 #include "cnf/equivalence.hpp"
 #include "locking/schemes.hpp"
+#include "proof_files.hpp"
 #include "runtime/portfolio.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/remapper.hpp"
@@ -166,7 +167,7 @@ TEST(Preprocessor, ContradictionByStrengthening) {
   prep.add_clause({neg(a)});
   prep.run();
   EXPECT_TRUE(prep.contradiction());
-  EXPECT_TRUE(prep.trace().closed());
+  EXPECT_TRUE(prep.proof_steps().closed);
 }
 
 TEST(Preprocessor, LiteralBudgetBlocksWideningElimination) {
@@ -304,8 +305,9 @@ TEST(PortfolioPreprocess, CertifiedUnsatPassesChecker) {
   int unsat_seen = 0;
   for (std::uint64_t seed = 100; seed < 116; ++seed) {
     std::mt19937_64 rng(seed);
+    const std::string path = test::temp_path("prep_certified.drat");
     runtime::SolverPortfolio portfolio(1);
-    portfolio.enable_proof();
+    portfolio.enable_proof(path);
     portfolio.enable_preprocessing();
     for (int v = 0; v < kVars; ++v) portfolio.new_var();
     for (int i = 0; i < kClauses; ++i) {
@@ -314,10 +316,12 @@ TEST(PortfolioPreprocess, CertifiedUnsatPassesChecker) {
     const runtime::SolveOutcome outcome = portfolio.solve();
     if (outcome.result == Result::kUnsat) {
       ++unsat_seen;
-      const DratTrace* trace = portfolio.winner_trace();
+      const FileProofTracer* trace = portfolio.winner_file_trace();
       ASSERT_NE(trace, nullptr);
       ASSERT_TRUE(trace->closed());
-      const DratCheckResult check = check_refutation(*trace);
+      portfolio.promote_winner_trace(path);
+      const DratCheckResult check = check_refutation_file(path);
+      std::remove(path.c_str());
       EXPECT_TRUE(check.valid) << "seed " << seed << ": " << check.error;
     } else if (outcome.result == Result::kSat) {
       EXPECT_EQ(outcome.model_verified, 1) << "seed " << seed;
@@ -427,7 +431,6 @@ TEST(SatAttackPreprocess, SameKeySameVerdict) {
 
   attacks::SatAttackOptions off;
   off.preprocess = false;  // defaults flipped on; this test compares the two
-  off.preprocess_auto = false;
   attacks::SatAttackOptions on;
   on.preprocess = true;
   const attacks::SatAttackResult r_off =
@@ -454,13 +457,15 @@ TEST(SatAttackPreprocess, CertifiedAttackStillValidates) {
   attacks::SatAttackOptions options;
   options.preprocess = true;
   options.certify = true;
+  options.proof_file = test::temp_path("prep_attack.drat");
   const attacks::SatAttackResult result =
       attacks::run_sat_attack(locked.netlist, oracle, options);
   ASSERT_EQ(result.status, attacks::SatAttackStatus::kKeyFound);
   EXPECT_EQ(result.proof_status, attacks::ProofStatus::kValid);
   EXPECT_TRUE(result.models_verified);
-  ASSERT_NE(result.proof_trace, nullptr);
-  const DratCheckResult check = check_refutation(*result.proof_trace);
+  ASSERT_EQ(result.proof_path, options.proof_file);
+  const DratCheckResult check = check_refutation_file(result.proof_path);
+  std::remove(result.proof_path.c_str());
   EXPECT_TRUE(check.valid) << check.error;
 }
 
@@ -510,11 +515,11 @@ std::uint64_t clauses_digest(const ClauseBatch& clauses) {
   return d.h;
 }
 
-std::uint64_t trace_digest(const DratTrace& trace) {
+std::uint64_t trace_digest(const PreprocessProof& proof) {
   Digest d;
-  for (const ProofStep& step : trace.steps()) {
-    d.word(static_cast<std::uint32_t>(step.kind));
-    d.clause(step.lits);
+  for (std::size_t i = 0; i < proof.kinds.size(); ++i) {
+    d.word(static_cast<std::uint32_t>(proof.kinds[i]));
+    d.clause(proof.clauses.clause(i));
   }
   return d.h;
 }
@@ -558,7 +563,7 @@ void expect_pin(const Preprocessor& prep, const Pin& pin) {
   EXPECT_EQ(s.rounds, pin.rounds);
   EXPECT_EQ(s.tuned_occurrence_limit, pin.tuned_occurrence_limit);
   EXPECT_EQ(clauses_digest(prep.clauses()), pin.clauses);
-  EXPECT_EQ(trace_digest(prep.trace()), pin.trace);
+  EXPECT_EQ(trace_digest(prep.proof_steps()), pin.trace);
   EXPECT_EQ(extended_model_digest(prep, 0u), pin.model_a);
   EXPECT_EQ(extended_model_digest(prep, 0x9e3779b9u), pin.model_b);
 }

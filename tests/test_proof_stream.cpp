@@ -2,7 +2,8 @@
 // temp+rename publish), TraceReader / check_refutation_file (single-pass
 // streaming reads with bounded memory), truncation/garbage rejection, and
 // the portfolio's winner-trace promotion -- including composition with the
-// SatELite preprocessor's step replay.
+// SatELite preprocessor's step replay. Every file lives under the gtest
+// temp directory (proof_files.hpp).
 #include "sat/proof.hpp"
 
 #include <gtest/gtest.h>
@@ -13,13 +14,16 @@
 #include <string>
 #include <vector>
 
-#include "sat/drat_check.hpp"
+#include "proof_files.hpp"
 #include "runtime/portfolio.hpp"
+#include "sat/drat_check.hpp"
 
 namespace ril::sat {
 namespace {
 
 using runtime::SolverPortfolio;
+using test::read_steps;
+using test::temp_path;
 
 std::string read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -41,11 +45,7 @@ bool file_exists(const std::string& path) {
 /// Feeds every step of `trace` into `sink` in order.
 void replay(const DratTrace& trace, ProofTracer& sink) {
   for (const ProofStep& step : trace.steps()) {
-    switch (step.kind) {
-      case ProofStepKind::kOriginal: sink.original(step.lits); break;
-      case ProofStepKind::kDerive: sink.derive(step.lits); break;
-      case ProofStepKind::kErase: sink.erase(step.lits); break;
-    }
+    emit_step(sink, step.kind, step.lits);
   }
 }
 
@@ -99,7 +99,7 @@ void add_pigeonhole(ClauseSink& sink, int pigeons, int holes) {
 // --- FileProofTracer --------------------------------------------------------
 
 TEST(FileProofTracer, LargeTraceRoundTripsBitIdentically) {
-  const std::string path = "proof_stream_large.drat";
+  const std::string path = temp_path("large.drat");
   const DratTrace reference = make_large_trace(50000, 42);
 
   // Stream with a deliberately tiny buffer so the flush path is exercised
@@ -114,7 +114,7 @@ TEST(FileProofTracer, LargeTraceRoundTripsBitIdentically) {
   ASSERT_TRUE(file_exists(path));
   EXPECT_FALSE(file_exists(path + ".tmp")) << "temp must be renamed away";
 
-  const DratTrace reread = read_trace_file(path);
+  const DratTrace reread = read_steps(path);
   expect_same_steps(reference, reread);
 
   // A second streaming pass over the same steps must produce the same
@@ -143,7 +143,7 @@ TEST(FileProofTracer, LargeTraceRoundTripsBitIdentically) {
 }
 
 TEST(FileProofTracer, AbandonRemovesTempAndNeverPublishes) {
-  const std::string path = "proof_stream_abandon.drat";
+  const std::string path = temp_path("abandon.drat");
   std::remove(path.c_str());
   {
     FileProofTracer tracer(path);
@@ -164,7 +164,7 @@ TEST(FileProofTracer, AbandonRemovesTempAndNeverPublishes) {
 }
 
 TEST(FileProofTracer, StepsAfterFinalizeThrow) {
-  const std::string path = "proof_stream_sealed.drat";
+  const std::string path = temp_path("sealed.drat");
   FileProofTracer tracer(path);
   tracer.original({Lit::make(0)});
   tracer.finalize();
@@ -175,7 +175,7 @@ TEST(FileProofTracer, StepsAfterFinalizeThrow) {
 // --- truncation / garbage rejection -----------------------------------------
 
 TEST(TraceReader, TruncatedBinaryTraceIsRejected) {
-  const std::string path = "proof_stream_trunc.drat";
+  const std::string path = temp_path("trunc.drat");
   {
     // Originals only: every step is checker-acceptable, so the streaming
     // checker must reach the torn tail and flag the parse failure instead
@@ -196,7 +196,7 @@ TEST(TraceReader, TruncatedBinaryTraceIsRejected) {
   // ever published, which FileProofTracer does not -- this simulates
   // external tampering or a torn copy).
   write_bytes(path, full.substr(0, full.size() / 2));
-  EXPECT_THROW(read_trace_file(path), std::runtime_error);
+  EXPECT_THROW(read_steps(path), std::runtime_error);
   const DratCheckResult check = check_refutation_file(path);
   EXPECT_FALSE(check.valid);
   EXPECT_TRUE(check.malformed) << check.error;
@@ -204,15 +204,15 @@ TEST(TraceReader, TruncatedBinaryTraceIsRejected) {
   // Dropping only the end marker must also be rejected: a clean EOF
   // without the marker is indistinguishable from a truncated tail.
   write_bytes(path, full.substr(0, full.size() - 3));
-  EXPECT_THROW(read_trace_file(path), std::runtime_error);
+  EXPECT_THROW(read_steps(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
 TEST(TraceReader, GarbageAndBadFooterAreRejectedWithLocation) {
-  const std::string path = "proof_stream_garbage.drat";
+  const std::string path = temp_path("garbage.drat");
   write_bytes(path, "this is not a proof trace\n");
   try {
-    read_trace_file(path);
+    read_steps(path);
     FAIL() << "garbage trace must not parse";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
@@ -221,13 +221,13 @@ TEST(TraceReader, GarbageAndBadFooterAreRejectedWithLocation) {
 
   // Text trace whose footer count disagrees with the steps.
   write_bytes(path, "o 1 0\na -1 0\nc end 5\n");
-  EXPECT_THROW(read_trace_file(path), std::runtime_error);
+  EXPECT_THROW(read_steps(path), std::runtime_error);
   // Text trace with content after the footer.
   write_bytes(path, "o 1 0\nc end 1\na -1 0\n");
-  EXPECT_THROW(read_trace_file(path), std::runtime_error);
+  EXPECT_THROW(read_steps(path), std::runtime_error);
   // Text trace missing its footer entirely (torn tail).
   write_bytes(path, "o 1 0\na -1 0\n");
-  EXPECT_THROW(read_trace_file(path), std::runtime_error);
+  EXPECT_THROW(read_steps(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
@@ -237,7 +237,7 @@ TEST(TraceReader, FooterTamperRejectedEvenWhenRefutationChecks) {
   // clause and reject the bad framing -- mid-trace literal flips can leave
   // a refutation that still checks, so the end marker is the integrity
   // anchor a tamper test can rely on.
-  const std::string path = "proof_stream_footer_tamper.drat";
+  const std::string path = temp_path("footer_tamper.drat");
   {
     FileProofTracer tracer(path);
     tracer.original({Lit::make(0)});
@@ -262,7 +262,7 @@ TEST(TraceReader, TenByteVarintOverflowIsRejected) {
   // A 10-byte varint holds bits 63..69 in its last byte; only bit 63 fits
   // in 64 bits. The reader used to drop bits 64..69, so 5 + 2^64 decoded as
   // 5 and a tampered trace checked as valid.
-  const std::string path = "proof_stream_varint.drat";
+  const std::string path = temp_path("varint.drat");
   const std::string magic = {static_cast<char>(kBinaryTraceMagic0), 'D', 'R',
                              'A', 'T', '\x01'};
   // The varint of `low` (< 128) plus `high` << 63, padded to 10 bytes.
@@ -305,9 +305,9 @@ TEST(TraceReader, TenByteVarintOverflowIsRejected) {
 }
 
 TEST(TraceReader, EmptyFileIsACleanEmptyTrace) {
-  const std::string path = "proof_stream_empty.drat";
+  const std::string path = temp_path("empty.drat");
   write_bytes(path, "");
-  const DratTrace trace = read_trace_file(path);
+  const DratTrace trace = read_steps(path);
   EXPECT_EQ(trace.size(), 0u);
   TraceReader reader(path);
   ProofStep step;
@@ -315,38 +315,20 @@ TEST(TraceReader, EmptyFileIsACleanEmptyTrace) {
   std::remove(path.c_str());
 }
 
-TEST(WriteTraceFile, TextFormatIsAtomicAndRoundTrips) {
-  const std::string path = "proof_stream_text.drat";
-  DratTrace trace;
-  trace.original({Lit::make(0), Lit::make(1, true)});
-  trace.derive({Lit::make(2)});
-  trace.erase({Lit::make(0), Lit::make(1, true)});
-  trace.derive({});
-  write_trace_file(path, trace);
-  EXPECT_FALSE(file_exists(path + ".tmp"));
-  const DratTrace reread = read_trace_file(path);
-  expect_same_steps(trace, reread);
-  EXPECT_TRUE(reread.closed());
-  std::remove(path.c_str());
-}
-
 // --- portfolio winner promotion ---------------------------------------------
 
 TEST(PortfolioProofFiles, WinnerIsPromotedAndLosersCleanedUp) {
   for (const std::uint64_t seed : {3u, 11u, 29u}) {
-    const std::string stem = "proof_stream_portfolio.drat";
+    const std::string stem = temp_path("portfolio.drat");
     const unsigned jobs = 3;
     SolverPortfolio portfolio(jobs, seed);
-    portfolio.enable_proof_files(stem);
+    portfolio.enable_proof(stem);
     EXPECT_TRUE(portfolio.proof_enabled());
-    EXPECT_TRUE(portfolio.proof_files_enabled());
     add_pigeonhole(portfolio, 6, 5);
     const runtime::SolveOutcome outcome = portfolio.solve();
     ASSERT_EQ(outcome.result, Result::kUnsat);
     ASSERT_NE(portfolio.winner_file_trace(), nullptr);
     EXPECT_TRUE(portfolio.winner_file_trace()->closed());
-    EXPECT_EQ(portfolio.winner_trace(), nullptr) << "file mode has no "
-                                                    "in-memory trace";
 
     const std::uint64_t bytes = portfolio.promote_winner_trace(stem);
     EXPECT_GT(bytes, 0u);
@@ -369,9 +351,9 @@ TEST(PortfolioProofFiles, WinnerIsPromotedAndLosersCleanedUp) {
 }
 
 TEST(PortfolioProofFiles, PreprocessorReplayPassesStreamingChecker) {
-  const std::string stem = "proof_stream_prep.drat";
+  const std::string stem = temp_path("prep.drat");
   SolverPortfolio portfolio(2, 5);
-  portfolio.enable_proof_files(stem);
+  portfolio.enable_proof(stem);
   portfolio.enable_preprocessing();
   add_pigeonhole(portfolio, 7, 6);
   const runtime::SolveOutcome outcome = portfolio.solve();
@@ -380,30 +362,28 @@ TEST(PortfolioProofFiles, PreprocessorReplayPassesStreamingChecker) {
   ASSERT_TRUE(portfolio.winner_file_trace()->closed());
   portfolio.promote_winner_trace(stem);
   // The elimination/strengthening steps the preprocessor replayed into the
-  // streamed trace must satisfy the independent streaming checker, exactly
-  // like the in-memory path.
+  // streamed trace must satisfy the independent streaming checker.
   const DratCheckResult check = check_refutation_file(stem);
   EXPECT_TRUE(check.valid) << check.error;
   std::remove(stem.c_str());
 }
 
-TEST(PortfolioProofFiles, ProofModesAreMutuallyExclusive) {
-  // The second enable_* is an idempotent no-op: whichever mode was enabled
-  // first wins, and promotion without file mode is a logic error.
+TEST(PortfolioProofFiles, SecondEnableIsANoOp) {
+  // A second enable_proof keeps the first stem's tracers, and promotion
+  // without proof logging is a logic error.
+  const std::string first = temp_path("enable_a.drat");
+  const std::string second = temp_path("enable_b.drat");
   SolverPortfolio portfolio(1, 1);
-  portfolio.enable_proof();
-  portfolio.enable_proof_files("proof_stream_excl_a.drat");
+  portfolio.enable_proof(first);
+  portfolio.enable_proof(second);
   EXPECT_TRUE(portfolio.proof_enabled());
-  EXPECT_FALSE(portfolio.proof_files_enabled());
-
-  SolverPortfolio other(1, 1);
-  other.enable_proof_files("proof_stream_excl_b.drat");
-  other.enable_proof();
-  EXPECT_TRUE(other.proof_files_enabled());
-  EXPECT_EQ(other.winner_trace(), nullptr);
+  EXPECT_TRUE(file_exists(first + ".m0.drat.tmp"));
+  EXPECT_FALSE(file_exists(second + ".m0.drat.tmp"));
 
   SolverPortfolio plain(1, 1);
-  EXPECT_THROW(plain.promote_winner_trace("y.drat"), std::logic_error);
+  EXPECT_FALSE(plain.proof_enabled());
+  EXPECT_THROW(plain.promote_winner_trace(temp_path("none.drat")),
+               std::logic_error);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 
 #include <random>
 
+#include "proof_files.hpp"
 #include "sat/dimacs.hpp"
-#include "sat/drat_check.hpp"
 #include "sat/proof.hpp"
 
 namespace ril::sat {
@@ -399,7 +399,7 @@ TEST(SatSolver, CertifiedUnsatAfterAssumptionFailure) {
   EXPECT_FALSE(solver.add_clause({Lit::make(a, true)}));
   EXPECT_EQ(solver.solve(), Result::kUnsat);
   EXPECT_TRUE(trace.closed());
-  EXPECT_TRUE(check_refutation(trace).valid);
+  EXPECT_TRUE(test::refutation_via_file(trace).valid);
 }
 
 TEST(SatSolver, CertifiedUnsatAfterAbortedLimitedSolve) {
@@ -424,7 +424,7 @@ TEST(SatSolver, CertifiedUnsatAfterAbortedLimitedSolve) {
   solver.set_limits({});
   EXPECT_EQ(solver.solve(), Result::kUnsat);
   EXPECT_TRUE(trace.closed());
-  const auto check = check_refutation(trace);
+  const auto check = test::refutation_via_file(trace);
   EXPECT_TRUE(check.valid) << check.error;
 }
 

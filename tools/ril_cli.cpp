@@ -30,15 +30,15 @@
 //       subsumption, failed-literal probing) inside the solvers are both
 //       on by default; --no-preprocess and --no-inprocess turn them off
 //       independently. --certify
-//       (sat only) DRAT-logs every miter solve, self-checks SAT models,
-//       validates the final UNSAT certificate with the independent RUP
-//       checker, and with --proof streams the certificate to disk as
-//       binary DRAT (bounded memory, atomic temp+rename publish) for
-//       offline `ril check-proof`. A run that stops before miter-UNSAT
-//       (timeout, --max-iterations) still publishes the streamed trace as
-//       an open certificate for `ril check-proof --open`. Preprocessing
-//       and inprocessing compose with --certify: elimination, vivification,
-//       and probing steps are all emitted into the trace.
+//       (sat only) streams every miter solve's DRAT trace to disk as
+//       binary DRAT (bounded memory), self-checks SAT models, and
+//       validates the final certificate with the independent RUP checker:
+//       a refutation after miter-UNSAT, an open certificate when the run
+//       stops earlier (timeout, --max-iterations). --proof publishes it
+//       (atomic temp+rename) for offline `ril check-proof [--open]`;
+//       without --proof it is checked in a temp directory and removed.
+//       Preprocessing and inprocessing compose with --certify: elimination,
+//       vivification, and probing steps are all emitted into the trace.
 //
 //   ril check-proof <trace.drat> [--open]
 //       Re-validate a previously written certificate (binary or text)
@@ -153,11 +153,8 @@ struct Args {
   bool scan = false;
   bool specialize = true;
   /// Preprocessing is on by default at every scale (per-scheme results in
-  /// BENCH_solver.json); --no-preprocess forces it off.
+  /// BENCH_solver.json); --no-preprocess turns it off.
   bool preprocess = true;
-  /// --no-preprocess clears this too, forcing preprocessing off even on
-  /// hosts above the auto-enable gate threshold.
-  bool preprocess_auto = true;
   /// Restart-time inprocessing inside the solvers; --no-inprocess turns it
   /// off independently of --no-preprocess.
   bool inprocess = true;
@@ -195,10 +192,7 @@ Args parse(int argc, char** argv) {
     else if (arg == "--scan") args.scan = true;
     else if (arg == "--no-specialize") args.specialize = false;
     else if (arg == "--preprocess") args.preprocess = true;
-    else if (arg == "--no-preprocess") {
-      args.preprocess = false;
-      args.preprocess_auto = false;
-    }
+    else if (arg == "--no-preprocess") args.preprocess = false;
     else if (arg == "--inprocess") args.inprocess = true;
     else if (arg == "--no-inprocess") args.inprocess = false;
     else if (arg == "--certify") args.certify = true;
@@ -452,11 +446,9 @@ int cmd_attack(const Args& args) {
     options.record_solves = args.jobs > 1 || !args.stats_path.empty();
     options.specialize_dips = args.specialize;
     options.preprocess = args.preprocess;
-    options.preprocess_auto = args.preprocess_auto;
     options.inprocess = args.inprocess;
     options.certify = args.certify || !args.proof_path.empty();
-    // --proof selects streaming certification: the trace goes to disk as
-    // binary DRAT while the attack runs, never through a DratTrace in RAM.
+    // --proof names where the streamed certificate is published.
     options.proof_file = args.proof_path;
     if (method == "sat") {
       const auto result = attacks::run_sat_attack(locked, oracle, options);
@@ -496,19 +488,14 @@ int cmd_attack(const Args& args) {
                     to_string(result.proof_status).c_str(),
                     static_cast<unsigned long long>(result.proof_steps),
                     result.models_verified ? "self-checked" : "UNSOUND");
-        if (!args.proof_path.empty()) {
-          if (!result.proof_path.empty()) {
-            std::printf("proof trace -> %s (%llu bytes, streamed)\n",
-                        result.proof_path.c_str(),
-                        static_cast<unsigned long long>(result.proof_bytes));
-            if (result.proof_status == attacks::ProofStatus::kOpen) {
-              std::printf("open certificate: validate with"
-                          " `ril check-proof --open %s`\n",
-                          result.proof_path.c_str());
-            }
-          } else {
-            std::printf("proof trace not written: no solver trace to"
-                        " publish\n");
+        if (!result.proof_path.empty()) {
+          std::printf("proof trace -> %s (%llu bytes, streamed)\n",
+                      result.proof_path.c_str(),
+                      static_cast<unsigned long long>(result.proof_bytes));
+          if (result.proof_status == attacks::ProofStatus::kOpen) {
+            std::printf("open certificate: validate with"
+                        " `ril check-proof --open %s`\n",
+                        result.proof_path.c_str());
           }
         }
       }
@@ -803,7 +790,6 @@ std::string run_campaign_cell(const CampaignCell& cell, const Args& args,
     options.cancel = &ctx.cancel_flag();
     options.certify = args.certify;
     options.preprocess = args.preprocess;
-    options.preprocess_auto = args.preprocess_auto;
     options.inprocess = args.inprocess;
     // --proof-dir: stream each certified cell's miter certificate to
     // <dir>/<cell-key>.drat (cell keys are sanitized for the filesystem).
