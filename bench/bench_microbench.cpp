@@ -1,11 +1,13 @@
 // google-benchmark micro-kernels for the core engines: bit-parallel logic
-// simulation, Tseitin encoding, CDCL propagation-heavy solving, miter
-// preprocessing, banyan construction, and RIL insertion. These are the
-// throughput numbers behind the table benches' wall-clock results.
+// simulation, Tseitin encoding, CDCL propagation-heavy solving, RIL miter
+// search, miter preprocessing, banyan construction, and RIL insertion.
+// These are the throughput numbers behind the table benches' wall-clock
+// results.
 #include <benchmark/benchmark.h>
 
 #include <random>
 
+#include "attacks/engine/dip_encoder.hpp"
 #include "attacks/engine/miter_context.hpp"
 #include "attacks/oracle.hpp"
 #include "benchgen/random_dag.hpp"
@@ -75,6 +77,88 @@ void BM_SolverRandom3Sat(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverRandom3Sat)->Arg(100)->Arg(200);
+
+/// Forwards to a solver and records every variable and clause, so a
+/// formula built up over a DIP loop can be replayed into fresh solvers.
+class RecordingSink final : public sat::ClauseSink {
+ public:
+  explicit RecordingSink(sat::Solver& inner) : inner_(inner) {}
+  sat::Var new_var() override { return inner_.new_var(); }
+  void ensure_var(sat::Var v) override { inner_.ensure_var(v); }
+  bool add_clause(sat::Clause lits) override {
+    for (const sat::Lit l : lits) clauses_.push(l);
+    clauses_.seal();
+    return inner_.add_clause(std::move(lits));
+  }
+  bool add_clauses(const sat::ClauseBatch& batch) override {
+    clauses_.lits.insert(clauses_.lits.end(), batch.lits.begin(),
+                         batch.lits.end());
+    const auto base = static_cast<std::uint32_t>(
+        clauses_.lit_count() - batch.lit_count());
+    for (const std::uint32_t end : batch.ends) {
+      clauses_.ends.push_back(base + end);
+    }
+    return inner_.add_clauses(batch);
+  }
+  using sat::ClauseSink::add_clause;
+  const sat::ClauseBatch& clauses() const { return clauses_; }
+
+ private:
+  sat::Solver& inner_;
+  sat::ClauseBatch clauses_;
+};
+
+void BM_SolveRilMiter(benchmark::State& state) {
+  // The search layer alone: the miter of one attack-ril shape (c7552 at
+  // scale 0.15, two 8x8 RIL blocks) with the I/O constraints of its whole
+  // DIP loop, i.e. the formula of the attack's last, UNSAT miter solve.
+  // Captured once; each iteration replays it into a fresh solver (not
+  // timed) and searches under a fixed conflict budget. The counters are
+  // exact for the code under test, so the rates compare only the cost of
+  // each propagation and conflict.
+  const auto host = benchgen::make_benchmark("c7552", 0.15);
+  core::RilBlockConfig config;
+  config.size = 8;
+  const auto ril = locking::lock_ril(host, 2, config, 7);
+  const netlist::Netlist& locked = ril.locked.netlist;
+  attacks::Oracle oracle(locked, ril.locked.key);
+  sat::Solver loop;
+  RecordingSink recorder(loop);
+  const attacks::engine::MiterContext ctx(locked, recorder);
+  attacks::engine::DipConstraintEncoder dips(locked, /*specialize=*/true);
+  std::size_t rounds = 0;
+  while (loop.solve() == sat::Result::kSat) {
+    const std::vector<bool> dip =
+        ctx.extract_dip([&](sat::Var v) { return loop.model_bool(v); });
+    const std::vector<bool> response = oracle.query(dip);
+    dips.add_constraint(recorder, ctx.copy(0).key_vars, dip, response);
+    dips.add_constraint(recorder, ctx.copy(1).key_vars, dip, response);
+    ++rounds;
+  }
+  const std::size_t num_vars = loop.num_vars();
+  const std::uint64_t budget = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t propagations = 0;
+  std::uint64_t conflicts = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sat::Solver solver;
+    solver.ensure_var(static_cast<sat::Var>(num_vars) - 1);
+    solver.add_clauses(recorder.clauses());
+    solver.set_limits({.conflict_limit = budget});
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(solver.solve());
+    propagations += solver.stats().propagations;
+    conflicts += solver.stats().conflicts;
+  }
+  state.counters["propagations_per_s"] = benchmark::Counter(
+      static_cast<double>(propagations), benchmark::Counter::kIsRate);
+  state.counters["conflicts_per_s"] = benchmark::Counter(
+      static_cast<double>(conflicts), benchmark::Counter::kIsRate);
+  state.SetLabel(std::to_string(rounds) + " DIPs, " +
+                 std::to_string(conflicts / state.iterations()) +
+                 " conflicts/solve");
+}
+BENCHMARK(BM_SolveRilMiter)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 void BM_PreprocessMiter(benchmark::State& state) {
   // A miter of the serve workload's capped-attack shape (b20 at scale 1,

@@ -20,8 +20,8 @@ bool Inprocessor::run() {
 
 bool Inprocessor::is_reason_locked(std::uint32_t cref) const {
   const auto c = s_.view(cref);
-  const Var v0 = c.lit(0).var();
-  return s_.reason_[v0] == cref && s_.assigns_[v0] != LBool::kUndef;
+  const Lit l0 = c.lit(0);
+  return s_.reason_[l0.var()] == cref && s_.value(l0) != LBool::kUndef;
 }
 
 bool Inprocessor::binary_exists(Lit a, Lit b) const {
@@ -378,9 +378,9 @@ bool Inprocessor::probe_pass() {
   // assumption/key vars) are never probed.
   std::vector<Var> cands;
   cands.reserve(s_.heap_.size());
-  for (const Var v : s_.heap_) {
-    if (s_.assigns_[v] == LBool::kUndef && !s_.ipc_is_frozen(v)) {
-      cands.push_back(v);
+  for (const auto& entry : s_.heap_) {
+    if (!s_.assigned(entry.var) && !s_.ipc_is_frozen(entry.var)) {
+      cands.push_back(entry.var);
     }
   }
   const std::size_t k =

@@ -11,12 +11,21 @@
 //  * resource limits: wall-clock time and conflict budget; when a limit
 //    fires solve() returns Result::kUnknown
 //
+// Hot-path layout (docs/SOLVER.md): assignments live in one value array
+// indexed by literal code, so value(l) is a single load; propagate() walks
+// each watch list with raw read/keep pointers over the arena words; the
+// VSIDS heap stores {activity, var} entries so sifting compares adjacent
+// slots. These layouts change only the cost of each step: every decision,
+// propagation, learned clause and proof step is the same as with the plain
+// per-variable layout, which SolverPins (tests/test_sat_solver.cpp) pins.
+//
 // The solver is deliberately self-contained (no third-party code) since the
 // paper's SAT-hardness claims are about CDCL search behaviour, which this
 // class reproduces.
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -81,7 +90,7 @@ class Solver : public ClauseSink {
   Var new_var() override;
   /// Ensures variables [0, v] exist.
   void ensure_var(Var v) override;
-  std::size_t num_vars() const { return assigns_.size(); }
+  std::size_t num_vars() const { return values_.size() / 2; }
   std::size_t num_clauses() const { return n_problem_clauses_; }
 
   /// Adds a problem clause: a one-clause add_clauses(). Returns false if
@@ -200,16 +209,22 @@ class Solver : public ClauseSink {
   void flush_attaches();
 
   // --- assignment / trail ------------------------------------------------
-  LBool value(Lit l) const {
-    const LBool v = assigns_[l.var()];
-    if (v == LBool::kUndef) return LBool::kUndef;
-    return l.sign() ? negate(v) : v;
+  LBool value(Lit l) const { return values_[l.code]; }
+  bool assigned(Var v) const {
+    return values_[2 * static_cast<std::size_t>(v)] != LBool::kUndef;
   }
-  int level(Var v) const { return level_[v]; }
   int decision_level() const {
     return static_cast<int>(trail_limits_.size());
   }
-  void enqueue(Lit l, ClauseRef reason);
+  void enqueue(Lit l, ClauseRef reason) {
+    assert(value(l) == LBool::kUndef);
+    values_[l.code] = LBool::kTrue;
+    values_[l.code ^ 1] = LBool::kFalse;
+    const Var v = l.var();
+    level_[v] = decision_level();
+    reason_[v] = reason;
+    trail_.push_back(l);
+  }
   ClauseRef propagate();
   void new_decision_level() {
     trail_limits_.push_back(static_cast<std::uint32_t>(trail_.size()));
@@ -234,6 +249,13 @@ class Solver : public ClauseSink {
   void var_decay();
   void clause_bump(ClauseView c);
   Lit pick_branch_literal();
+  // A heap slot carries its variable's activity, so sifting compares
+  // adjacent slots instead of chasing activity_[var]. var_bump() and the
+  // rescale keep each copy equal to activity_[var].
+  struct HeapEntry {
+    double activity;
+    Var var;
+  };
   void heap_insert(Var v);
   Var heap_pop();
   void heap_up(std::size_t idx);
@@ -242,8 +264,10 @@ class Solver : public ClauseSink {
 
   void reduce_learned_db();
   /// Compacts the clause arena, dropping deleted clauses (called at
-  /// restarts when more than half the arena is garbage). All ClauseRefs
-  /// (problem/learned lists, reasons, watchers) are remapped.
+  /// restarts when more than half the arena is garbage). Each moved clause
+  /// leaves its new ref in its old slot's lbd word, through which the
+  /// root-level reasons are forwarded; the clause lists are rewritten and
+  /// the watch lists rebuilt.
   void garbage_collect();
   bool time_exhausted();
   /// Combined stop check: cancellation token, then wall clock.
@@ -267,7 +291,9 @@ class Solver : public ClauseSink {
   std::vector<std::uint32_t> watch_growth_;  // indexed by lit code
 
   std::vector<std::vector<Watcher>> watches_;  // indexed by lit code
-  std::vector<LBool> assigns_;                 // indexed by var
+  // Indexed by lit code: values_[l.code] is the value of l, so enqueue()
+  // writes both polarities and cancel_until() clears both.
+  std::vector<LBool> values_;
   std::vector<LBool> model_;
   std::vector<int> level_;
   std::vector<ClauseRef> reason_;
@@ -278,14 +304,15 @@ class Solver : public ClauseSink {
   std::vector<double> activity_;
   double var_inc_ = 1.0;
   std::vector<std::int32_t> heap_index_;  // var -> heap slot or -1
-  std::vector<Var> heap_;
-  std::vector<bool> polarity_;  // saved phase; true = assign false first
+  std::vector<HeapEntry> heap_;
+  std::vector<std::uint8_t> polarity_;  // saved phase; 1 = branch true first
 
-  std::vector<bool> seen_;
+  std::vector<std::uint8_t> seen_;
   std::vector<Lit> analyze_stack_;
   std::vector<Lit> analyze_to_clear_;
   std::vector<std::uint32_t> lbd_stamp_;
   std::uint32_t lbd_stamp_counter_ = 0;
+  Clause proof_lits_;  // reduce_learned_db() deletion scratch
 
   std::size_t garbage_words_ = 0;
   SolverStats stats_;

@@ -154,8 +154,7 @@ TEST(Banyan, FullLockZeroInversionMatchesPlain) {
 TEST(Banyan, FullLockInversionAliasing) {
   // Two wrong inversions cancel: invert both outputs of a stage-0 switch
   // and compensate in stage 1 -- FullLock's key-aliasing weakness that the
-  // paper's 2-MUX element avoids.
-  const std::size_t n = 2;
+  // paper's 2-MUX element avoids. The network is n = 2 wide: two inputs.
   Netlist nl;
   std::vector<NodeId> inputs = {nl.add_input("a"), nl.add_input("b")};
   std::size_t counter = 0;
